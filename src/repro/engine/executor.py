@@ -21,6 +21,7 @@ deliver (``n_jobs`` resolving to 1).
 from __future__ import annotations
 
 import abc
+import ctypes
 import functools
 import os
 import pickle
@@ -43,6 +44,54 @@ def _visible_cores() -> int:
         except OSError:  # pragma: no cover - exotic platforms
             pass
     return max(1, os.cpu_count() or 1)
+
+
+#: Exported thread-count setters of the OpenBLAS builds numpy and scipy
+#: load: the plain name, its 64-bit-integer (ILP64) variant, and the
+#: prefixed copies bundled in the ``scipy-openblas`` wheels.
+_OPENBLAS_SET_THREADS = (
+    "openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "scipy_openblas_set_num_threads64_",
+)
+
+
+def pin_blas_threads() -> bool:
+    """Set every OpenBLAS loaded in this process to one thread.
+
+    The libraries are found by path in ``/proc/self/maps`` and set through
+    their exported ``*set_num_threads*`` entry point via ``ctypes``.
+    Processes that parallelise by forking call this at start-up: a forked
+    child inherits OpenBLAS's thread pool, which spins on multi-row GEMMs
+    and competes with the sibling processes for the same cores.  Returns
+    True when at least one library was set, and is a no-op returning
+    False where there is no ``/proc`` or no OpenBLAS is loaded.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {
+                fields[5].strip()
+                for fields in (line.split(None, 5) for line in maps)
+                if len(fields) == 6 and "openblas" in fields[5].lower()
+            }
+    except OSError:
+        return False
+    pinned = False
+    for path in sorted(paths):
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _OPENBLAS_SET_THREADS:
+            setter = getattr(library, name, None)
+            if setter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                setter(1)
+                pinned = True
+                break
+    return pinned
 
 
 def resolve_n_jobs(n_jobs: Optional[int]) -> int:

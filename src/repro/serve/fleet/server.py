@@ -9,8 +9,13 @@ The front end is a dispatcher with **per-worker bounded queues** and
 **admission control**: a request is placed on the least-loaded running
 worker's queue, and when every queue is full it is *shed* with an
 explicit :class:`~repro.serve.fleet.errors.Overloaded` instead of
-queueing unboundedly.  Each request carries a **deadline**; a worker that
-dequeues an already-expired request answers without touching the model.
+queueing unboundedly.  Requests are validated once, at admission, so a
+malformed or non-finite row is rejected with ``ValueError`` before it can
+share a worker batch.  Each request carries a **deadline**; a worker
+answers an expired request without touching the model.  Workers drain
+their queue into micro-batches and reply once per batch (see
+:mod:`repro.serve.fleet.worker`); the collector settles a whole reply
+under one lock acquisition.
 
 Robustness model (the supervision tree, see ``docs/serving.md``):
 
@@ -82,7 +87,7 @@ from repro.serve.fleet.errors import (
 from repro.serve.fleet.shm import EXIT_CORRUPT, SharedArtifact
 from repro.serve.fleet.worker import fleet_worker_main, resolve_worker_count
 from repro.serve.metrics import ServerMetrics
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import check_matrix, check_positive_int
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.obs import Observability
@@ -452,14 +457,10 @@ class FleetServer:
     # -------------------------------------------------------------- admission
 
     def _validate(self, X: Any) -> np.ndarray:
-        rows = np.asarray(X, dtype=np.float64)
-        if rows.ndim == 1:
-            rows = rows.reshape(1, -1)
-        if rows.ndim != 2 or rows.shape[0] == 0:
-            raise ValueError(
-                f"X must be one row or a non-empty (n, q) matrix, "
-                f"got shape {rows.shape}"
-            )
+        """The one validation a request gets: shape, width and finite
+        values, at admission, so a bad row never reaches a worker batch
+        shared with well-formed requests."""
+        rows = check_matrix(X, "X")
         if rows.shape[1] != self._n_features:
             raise ValueError(
                 f"served artifact expects {self._n_features} features, "
@@ -673,47 +674,65 @@ class FleetServer:
     def _on_response(
         self, handle: _WorkerHandle, message: Tuple[Any, ...]
     ) -> None:
-        _, rid, status, payload, meta = message
+        """Settle one worker batch reply: its requests leave the pending
+        table under one lock acquisition, and its latencies, stage split
+        and batch size are recorded once."""
+        _, replies, meta = message
+        settled: List[Tuple[_Pending, str, Any]] = []
+        spans: List[Tuple[Any, str]] = []
         with self._lock:
-            pending = self._pending.get(rid)
-            if pending is None or pending.worker is not handle:
-                # Late/duplicate answer from a worker we already failed,
-                # or from one whose request was re-dispatched elsewhere.
-                # Leave a re-dispatched pending in place: the worker it
-                # now belongs to owns the answer (accepting the stale one
-                # here would leak the new owner's ``assigned`` slot).
-                return
-            self._pending.pop(rid, None)
-            handle.assigned = max(handle.assigned - 1, 0)
-            span = pending.span
-            pending.span = None
-        if span is not None:
-            span.end("ok" if status == "ok" else str(status))
+            for rid, status, payload in replies:
+                pending = self._pending.get(rid)
+                if pending is None or pending.worker is not handle:
+                    # Late/duplicate answer from a worker we already
+                    # failed, or from one whose request was re-dispatched
+                    # elsewhere.  Leave a re-dispatched pending in place:
+                    # the worker it now belongs to owns the answer
+                    # (accepting the stale one here would leak the new
+                    # owner's ``assigned`` slot).
+                    continue
+                del self._pending[rid]
+                handle.assigned = max(handle.assigned - 1, 0)
+                settled.append((pending, status, payload))
+                if pending.span is not None:
+                    spans.append((pending.span, str(status)))
+                    pending.span = None
+        for span, status in spans:
+            span.end(status)
         if isinstance(meta, dict):
+            self.metrics.record_batch(int(meta["n_rows"]))
             if "encode_s" in meta:
                 self.metrics.record_stage_times(
                     float(meta["encode_s"]), float(meta.get("score_s", 0.0))
                 )
             if self.obs is not None:
                 self.obs.tracer.ingest(meta.get("spans"))
-        if pending.future.done():  # pragma: no cover - resolved late
-            return
-        if status == "ok":
-            pending.future.set_result(payload)
-            self.metrics.record_request(time.time() - pending.enqueued)
-        elif status == "deadline":
-            pending.future.set_exception(
-                DeadlineExceeded(
-                    f"request {rid} expired before a worker scored it"
+        # A caller may have cancelled its future meanwhile.
+        settled = [item for item in settled if not item[0].future.done()]
+        now = time.time()
+        # Count before resolving, so a caller woken by its result sees
+        # itself in ``stats()``.
+        self.metrics.record_requests([
+            now - pending.enqueued
+            for pending, status, _ in settled if status == "ok"
+        ])
+        for pending, status, payload in settled:
+            if status == "ok":
+                pending.future.set_result(payload)
+            elif status == "deadline":
+                pending.future.set_exception(
+                    DeadlineExceeded(
+                        f"request {pending.rid} expired before a worker "
+                        f"scored it"
+                    )
                 )
-            )
-            self.metrics.record_error()
-            self.metrics.record_problem(
-                "deadline-expired", f"request {rid}"
-            )
-        else:
-            pending.future.set_exception(RequestFailed(str(payload)))
-            self.metrics.record_error()
+                self.metrics.record_error()
+                self.metrics.record_problem(
+                    "deadline-expired", f"request {pending.rid}"
+                )
+            else:
+                pending.future.set_exception(RequestFailed(str(payload)))
+                self.metrics.record_error()
 
     def _end_dispatch_span(self, pending: _Pending, status: str) -> None:
         """Close ``pending``'s live dispatch span (caller holds the fleet

@@ -342,14 +342,18 @@ class SharedArtifact:
 
     # --------------------------------------------------------------- lifetime
 
-    def close(self) -> None:
-        """Unmap the segment in this process (best effort: a live view —
-        e.g. a chaos harness still holding ``array_view`` — keeps the
-        mapping; it falls with the process)."""
+    def close(self) -> bool:
+        """Unmap the segment in this process; returns whether it is gone.
+
+        A live view (a model rebuilt over the segment, or a chaos harness
+        still holding ``array_view``) keeps the mapping and makes this
+        return False; close again once the view is dropped, or let the
+        mapping fall with the process."""
         try:
             self._shm.close()
         except BufferError:
-            pass
+            return False
+        return True
 
     def unlink(self) -> None:
         """Destroy the segment (publisher side; idempotent)."""

@@ -1,34 +1,55 @@
-"""Fleet worker process: map the shared artifact, serve, heartbeat.
+"""Fleet worker process: map the shared artifact, serve batches, heartbeat.
 
-One worker is one OS process running :func:`fleet_worker_main`.  It maps
-the published :class:`~repro.serve.fleet.shm.SharedArtifact` zero-copy,
-rebuilds the deploy model over views into the segment, and then loops:
-stamp a heartbeat, pull one message off its bounded request queue, act.
+One worker is one OS process running :func:`fleet_worker_main`.  It pins
+BLAS to one thread (the fleet scales by processes, see
+:func:`~repro.engine.executor.pin_blas_threads`), maps the published
+:class:`~repro.serve.fleet.shm.SharedArtifact` zero-copy, rebuilds the
+deploy model over views into the segment, and then loops: stamp a
+heartbeat, block for one message on its bounded request queue, act.
+
+A request starts a **micro-batch**: the worker drains every request
+already queued behind it, scores all their rows in one encode→score
+pass, splits the results back by each request's row count and answers
+the whole batch with one reply.  A batch is whatever was queued, so the
+queue depth bounds it.  A control message ends the batch in front of it
+and runs after that batch, so requests queued before a ``reload`` are
+scored by the old epoch.
 
 The protocol is deliberately tiny (plain tuples over one ``mp.Queue`` in
 and one pipe out, per worker — a SIGKILLed worker can only corrupt *its
 own* channels, which the supervisor discards wholesale on restart):
 
 - ``("req", rid, kind, rows, deadline, enqueued, trace)`` — score
-  ``rows`` (``kind`` is ``"predict"`` or ``"scores"``), unless
-  ``deadline`` (unix seconds) already passed, in which case the worker
-  answers ``("res", rid, "deadline", None, None)`` without touching the
-  model.  ``trace`` is an optional
+  ``rows`` (``kind`` is ``"predict"`` or ``"scores"``) unless
+  ``deadline`` (unix seconds) has passed by the time its batch is
+  scored.  ``trace`` is an optional
   :class:`~repro.obs.trace.TraceContext` tuple riding the request;
-- ``("res", rid, status, payload, meta)`` — the reply.  ``meta`` is
-  ``None`` or a dict carrying the worker-side per-stage timing split
-  (``encode_s`` / ``score_s``, when the model's pipeline splits
-  cleanly — see :mod:`repro.serve.staging`) and, for sampled traces,
-  the worker's finished span dicts under ``"spans"`` for the
+- ``("res", replies, meta)`` — the reply to one batch.  ``replies``
+  holds one ``(rid, status, payload)`` per request: ``"ok"`` with the
+  request's result rows, ``"deadline"`` with ``None`` for a request that
+  expired before it was scored (the model never sees it), or
+  ``"error"`` with the exception's repr.  ``meta`` is ``None`` when
+  nothing was scored, else a dict: ``n_rows`` (rows scored), the
+  ``encode_s`` / ``score_s`` stage split when the model's pipeline
+  splits cleanly (see :mod:`repro.serve.staging`), and, for sampled
+  traces, the worker's finished span dicts under ``"spans"`` for the
   supervisor's tracer to ingest;
 - ``("reload", epoch, shm_name)`` — fleet hot-swap: attach the new
-  segment, rebuild, ack ``("reloaded", ...)``.  The old mapping is kept
-  (not closed) until process exit: dropping live ``np.frombuffer`` views
-  safely is not worth the bounded few-KB leak per swap;
+  segment, rebuild, ack ``("reloaded", ...)`` or
+  ``("reload-failed", ...)``.  After a successful reload the worker
+  closes the mappings it no longer serves; one still pinned by a live
+  array view (``BufferError``) is closed at a later reload;
 - ``("chaos", directive)`` — fault injection (see
   :mod:`repro.serve.chaos`): hang without heartbeats, exit with a given
   code, or add per-request latency;
 - ``("stop",)`` — clean exit.
+
+The service floor and the chaos ``slow`` delay stay per request: a batch
+of ``k`` live requests sleeps ``k`` times the delay, and deadlines are
+checked again after that sleep, right before scoring.  Every sampled
+request gets its own ``worker`` span under its own ``dispatch`` span.
+That span covers the whole batch, has ``encode`` / ``score`` children
+and carries the batch size, so the spans of one batch overlap.
 
 Every ``crc_check_every`` loop ticks the worker re-verifies the segment
 CRC; on mismatch it reports ``("corrupt", ...)`` and exits with
@@ -50,6 +71,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.engine.executor import pin_blas_threads, resolve_n_jobs
 from repro.obs.recorder import FlightRecorder
 from repro.obs.trace import TraceContext, span_record
 from repro.serve.fleet.shm import EXIT_CORRUPT, SharedArtifact
@@ -59,6 +81,9 @@ from repro.serve.staging import staged_scores
 #: flowing through any legitimate wait so the watchdog only fires on real
 #: hangs.
 _SLICE_S = 0.02
+
+#: One queued message, as the supervisor sent it.
+Message = Tuple[Any, ...]
 
 
 def _beat(heartbeat: Any, index: int) -> None:
@@ -75,68 +100,161 @@ def _sleep_with_beats(seconds: float, heartbeat: Any, index: int) -> None:
         time.sleep(min(remaining, _SLICE_S))
 
 
-def _score_request(
-    model: Any, kind: str, rows: np.ndarray
-) -> Tuple[np.ndarray, Optional[float], Optional[float]]:
-    """Serve one request, splitting encode/score stages when the model's
-    pipeline allows it (same split :class:`~repro.serve.server.ModelServer`
-    records single-process).  Returns ``(result, encode_s, score_s)`` with
-    ``None`` timings when no clean split exists."""
+def _drain(requests: Any, batch: List[Message]) -> Optional[Message]:
+    """Append every request already queued to ``batch``.  Returns the
+    control message that ended the drain, or ``None`` when the queue ran
+    dry."""
+    while True:
+        try:
+            message = requests.get_nowait()
+        except queue_mod.Empty:
+            return None
+        if message[0] != "req":
+            return message
+        batch.append(message)
+
+
+def _expire(
+    batch: List[Message], replies: List[Tuple[int, str, Any]]
+) -> List[Message]:
+    """Answer the requests of ``batch`` whose deadline has passed with
+    ``"deadline"``; return the others."""
+    now = time.time()
+    live = []
+    for message in batch:
+        deadline = message[4]
+        if deadline is not None and now > deadline:
+            replies.append((message[1], "deadline", None))
+        else:
+            live.append(message)
+    return live
+
+
+def _score_batch(
+    model: Any, live: List[Message]
+) -> Tuple[List[np.ndarray], Optional[float], Optional[float]]:
+    """One encode→score pass over the rows of ``live``, split back per
+    request: label rows for ``predict``, score rows for ``scores``.
+
+    Returns ``(results, encode_s, score_s)``; the timings are the split
+    :class:`~repro.serve.server.ModelServer` records, ``None`` when the
+    model's pipeline does not split cleanly.
+    """
+    blocks = [message[3] for message in live]
+    rows = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    encode_s: Optional[float] = None
+    score_s: Optional[float] = None
     staged = staged_scores(model, rows)
     if staged is not None:
         scores, encode_s, score_s = staged
-        if kind == "predict":
-            return (
-                np.asarray(model.classes_[np.argmax(scores, axis=1)]),
-                encode_s, score_s,
-            )
-        return scores, encode_s, score_s
-    if kind == "predict":
-        return np.asarray(model.predict(rows)), None, None
-    return np.asarray(model.decision_scores(rows)), None, None
+    else:
+        scores = np.asarray(model.decision_scores(rows))
+    predict = [message[2] == "predict" for message in live]
+    labels = (
+        np.asarray(model.classes_[np.argmax(scores, axis=1)])
+        if any(predict) else scores
+    )
+    results = []
+    stop = 0
+    for is_predict, block in zip(predict, blocks):
+        start, stop = stop, stop + block.shape[0]
+        results.append((labels if is_predict else scores)[start:stop])
+    return results, encode_s, score_s
 
 
-def _request_meta(
-    trace: Optional[Tuple[str, Optional[str], bool]],
-    index: int,
-    kind: str,
+def _score_each(model: Any, live: List[Message]) -> List[Tuple[str, Any]]:
+    """Score each request alone, after a batch pass raised, so an error
+    stays with the request that caused it."""
+    outcomes: List[Tuple[str, Any]] = []
+    for message in live:
+        try:
+            (result,), _, _ = _score_batch(model, [message])
+        except Exception as exc:  # noqa: BLE001 - reported per request
+            outcomes.append(("error", repr(exc)))
+        else:
+            outcomes.append(("ok", result))
+    return outcomes
+
+
+def _request_spans(
+    ctx: TraceContext,
+    status: str,
+    attrs: Dict[str, object],
     start_unix: float,
     total_s: float,
     encode_s: Optional[float],
     score_s: Optional[float],
+) -> List[Dict[str, object]]:
+    """One request's ``worker`` span over its batch, with the batch's
+    ``encode`` / ``score`` stages (one opaque ``score`` without a
+    split) as children."""
+    worker_span = span_record(
+        "worker", "worker", ctx, start_unix, total_s, status=status,
+        attrs=attrs,
+    )
+    child = TraceContext(ctx.trace_id, str(worker_span["span_id"]), True)
+    if encode_s is None or score_s is None:
+        return [
+            worker_span,
+            span_record("score", "worker", child, start_unix, total_s),
+        ]
+    return [
+        worker_span,
+        span_record("encode", "worker", child, start_unix, encode_s),
+        span_record("score", "worker", child, start_unix + encode_s, score_s),
+    ]
+
+
+def _serve_batch(
+    model: Any,
+    batch: List[Message],
+    delay_s: float,
+    heartbeat: Any,
+    index: int,
     recorder: Optional[FlightRecorder],
-) -> Optional[Dict[str, Any]]:
-    """The response ``meta`` dict: stage timings always (when split),
-    span dicts only for sampled traces."""
-    meta: Dict[str, Any] = {}
+) -> Message:
+    """Serve one drained batch; returns its ``("res", ...)`` reply."""
+    replies: List[Tuple[int, str, Any]] = []
+    live = _expire(batch, replies)
+    if live and delay_s > 0:
+        _sleep_with_beats(delay_s * len(live), heartbeat, index)
+        live = _expire(live, replies)
+    if not live:
+        return ("res", replies, None)
+    start_unix = time.time()
+    start_perf = time.perf_counter()
+    encode_s: Optional[float] = None
+    score_s: Optional[float] = None
+    outcomes: List[Tuple[str, Any]]
+    try:
+        results, encode_s, score_s = _score_batch(model, live)
+        outcomes = [("ok", result) for result in results]
+    except Exception:  # noqa: BLE001 - isolated per request below
+        outcomes = _score_each(model, live)
+        encode_s = score_s = None
+    total_s = time.perf_counter() - start_perf
+    n_rows = sum(int(message[3].shape[0]) for message in live)
+    meta: Dict[str, Any] = {"n_rows": n_rows}
     if encode_s is not None:
         meta["encode_s"] = float(encode_s)
         meta["score_s"] = float(score_s or 0.0)
-    if trace is not None and trace[2]:
-        ctx = TraceContext(*trace)
-        worker_span = span_record(
-            "worker", "worker", ctx, start_unix, total_s,
-            attrs={"index": index, "kind": kind},
-        )
-        child_ctx = TraceContext(ctx.trace_id, worker_span["span_id"], True)
-        spans = [worker_span]
-        if encode_s is not None:
-            spans.append(span_record(
-                "encode", "worker", child_ctx, start_unix, encode_s,
+    spans: List[Dict[str, object]] = []
+    for message, (status, payload) in zip(live, outcomes):
+        replies.append((message[1], status, payload))
+        trace = message[6]
+        if trace is not None and trace[2]:
+            spans.extend(_request_spans(
+                TraceContext(*trace), status,
+                {"index": index, "kind": message[2],
+                 "batch_requests": len(live), "batch_rows": n_rows},
+                start_unix, total_s, encode_s, score_s,
             ))
-            spans.append(span_record(
-                "score", "worker", child_ctx, start_unix + encode_s,
-                float(score_s or 0.0),
-            ))
-        else:
-            spans.append(span_record(
-                "score", "worker", child_ctx, start_unix, total_s,
-            ))
+    if spans:
         meta["spans"] = spans
         if recorder is not None:
             for span in spans:
                 recorder.record_span(span)
-    return meta or None
+    return ("res", replies, meta)
 
 
 def fleet_worker_main(
@@ -149,6 +267,7 @@ def fleet_worker_main(
     config: Dict[str, Any],
 ) -> None:
     """Entry point of one fleet worker process (runs until stopped)."""
+    pin_blas_threads()
     heartbeat_interval_s = float(config.get("heartbeat_interval_s", 0.05))
     crc_check_every = int(config.get("crc_check_every", 64))
     service_floor_s = float(config.get("service_floor_s", 0.0))
@@ -157,7 +276,8 @@ def fleet_worker_main(
         FlightRecorder(f"worker-{index}") if flight_dir else None
     )
     chaos_delay_s = 0.0
-    artifacts: List[SharedArtifact] = []
+    # Superseded mappings a live view kept open at their reload.
+    retired: List[SharedArtifact] = []
 
     def _dump_corrupt(epoch: int) -> None:
         if recorder is None:
@@ -173,12 +293,13 @@ def fleet_worker_main(
         responses.send(("corrupt", index, generation, artifact.epoch))
         _dump_corrupt(artifact.epoch)
         os._exit(EXIT_CORRUPT)
-    artifacts.append(artifact)
     model = artifact.rebuild_model()
     _beat(heartbeat, index)
     responses.send(("ready", index, generation, artifact.epoch))
 
     ticks = 0
+    # A control message that ended the last drain; it runs next.
+    held: Optional[Message] = None
     while True:
         _beat(heartbeat, index)
         ticks += 1
@@ -187,36 +308,26 @@ def fleet_worker_main(
                 responses.send(("corrupt", index, generation, artifact.epoch))
                 _dump_corrupt(artifact.epoch)
                 os._exit(EXIT_CORRUPT)
-        try:
-            message = requests.get(timeout=heartbeat_interval_s)
-        except queue_mod.Empty:
-            continue
+        if held is not None:
+            message, held = held, None
+        else:
+            try:
+                message = requests.get(timeout=heartbeat_interval_s)
+            except queue_mod.Empty:
+                continue
         tag = message[0]
 
         if tag == "req":
-            _, rid, kind, rows, deadline, _enqueued, trace = message
-            if deadline is not None and time.time() > deadline:
-                responses.send(("res", rid, "deadline", None, None))
-                continue
-            delay = service_floor_s + chaos_delay_s
-            if delay > 0:
-                _sleep_with_beats(delay, heartbeat, index)
-            start_unix = time.time()
-            start_perf = time.perf_counter()
-            try:
-                result, encode_s, score_s = _score_request(model, kind, rows)
-            except Exception as exc:  # noqa: BLE001 - reported per request
-                responses.send(("res", rid, "error", repr(exc), None))
-            else:
-                meta = _request_meta(
-                    trace, index, kind, start_unix,
-                    time.perf_counter() - start_perf,
-                    encode_s, score_s, recorder,
-                )
-                responses.send(("res", rid, "ok", result, meta))
+            batch = [message]
+            held = _drain(requests, batch)
+            responses.send(_serve_batch(
+                model, batch, service_floor_s + chaos_delay_s,
+                heartbeat, index, recorder,
+            ))
 
         elif tag == "reload":
             _, epoch, new_name = message
+            incoming: Optional[SharedArtifact] = None
             try:
                 incoming = SharedArtifact.attach(new_name)
                 if not incoming.verify():
@@ -225,13 +336,18 @@ def fleet_worker_main(
                     )
                 model = incoming.rebuild_model()
             except Exception as exc:  # noqa: BLE001 - supervisor decides
+                if incoming is not None and not incoming.close():
+                    retired.append(incoming)
                 responses.send(
                     ("reload-failed", index, generation, int(epoch),
                      repr(exc))
                 )
             else:
+                # The old model went with the rebind above, so its views
+                # no longer pin the old mapping.
+                retired.append(artifact)
                 artifact = incoming
-                artifacts.append(incoming)
+                retired = [old for old in retired if not old.close()]
                 responses.send(("reloaded", index, generation, int(epoch)))
 
         elif tag == "chaos":
@@ -265,8 +381,6 @@ def resolve_worker_count(n_workers: Optional[int]) -> int:
     matches ``ProcessExecutor`` semantics; explicit counts pass through
     (validated positive).
     """
-    from repro.engine.executor import resolve_n_jobs
-
     if n_workers is None:
         n_workers = -1
     return int(resolve_n_jobs(n_workers))

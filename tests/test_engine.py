@@ -1,5 +1,11 @@
 """Tests for the training engine: loop, callbacks, executors."""
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -17,7 +23,8 @@ from repro.engine import (
     get_executor,
     resolve_n_jobs,
 )
-from repro.engine.executor import executor_map, is_picklable
+from repro.engine import executor as executor_module
+from repro.engine.executor import executor_map, is_picklable, pin_blas_threads
 from repro.utils.validation import check_n_jobs
 
 
@@ -231,6 +238,72 @@ class TestNJobsResolution:
         assert check_n_jobs(None) is None
         assert check_n_jobs(-1) == -1
         assert check_n_jobs(4) == 4
+
+
+#: Runs in a fresh interpreter: pins BLAS, then asks every loaded
+#: OpenBLAS for its thread count through its own getter.
+_BLAS_PROBE = textwrap.dedent("""
+    import ctypes, json
+    import numpy
+    from repro.engine.executor import pin_blas_threads
+
+    GETTERS = (
+        "openblas_get_num_threads", "openblas_get_num_threads64_",
+        "scipy_openblas_get_num_threads", "scipy_openblas_get_num_threads64_",
+    )
+
+    def thread_counts():
+        counts = {}
+        for line in open("/proc/self/maps"):
+            fields = line.split(None, 5)
+            if len(fields) == 6 and "openblas" in fields[5].lower():
+                path = fields[5].strip()
+                library = ctypes.CDLL(path)
+                for name in GETTERS:
+                    getter = getattr(library, name, None)
+                    if getter is not None:
+                        getter.argtypes = []
+                        getter.restype = ctypes.c_int
+                        counts[path] = getter()
+                        break
+        return counts
+
+    before = thread_counts()
+    pinned = pin_blas_threads()
+    print(json.dumps({"before": before, "pinned": pinned,
+                      "after": thread_counts()}))
+""")
+
+
+class TestPinBlasThreads:
+    def test_openblas_reports_one_thread_in_subprocess(self):
+        if not os.path.exists("/proc/self/maps"):
+            pytest.skip("needs /proc/self/maps")
+        env = {
+            key: value for key, value in os.environ.items()
+            if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+        }
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.dirname(os.path.dirname(executor_module.__file__))]
+            + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", _BLAS_PROBE], env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        report = json.loads(done.stdout.strip().splitlines()[-1])
+        if not report["before"]:
+            pytest.skip("numpy is not linked against OpenBLAS here")
+        assert report["pinned"] is True
+        assert set(report["after"].values()) == {1}, report
+
+    def test_no_op_without_proc(self, monkeypatch):
+        def no_proc(*args, **kwargs):
+            raise OSError("no /proc here")
+
+        monkeypatch.setattr(executor_module, "open", no_proc, raising=False)
+        assert pin_blas_threads() is False
 
 
 def _square(x):

@@ -6,6 +6,8 @@ spawns, exercises one behaviour, and tears down in well under a second of
 wall clock per worker.
 """
 
+import os
+import threading
 import time
 
 import numpy as np
@@ -18,6 +20,7 @@ from repro.serve.fleet import (
     FleetClosed,
     FleetServer,
     Overloaded,
+    RequestFailed,
     as_quantized_artifact,
     resolve_worker_count,
 )
@@ -36,6 +39,24 @@ def fitted(small_problem):
 def artifact(fitted):
     model, _ = fitted
     return QuantizedHDCModel(model, bits=1, packed=True)
+
+
+@pytest.fixture(scope="module")
+def artifact_v2(small_problem):
+    train_x, train_y, _, _ = small_problem
+    retrained = make_model("disthd", dim=128, iterations=3, seed=9)
+    retrained.fit(train_x, train_y)
+    return QuantizedHDCModel(retrained, bits=1, packed=True)
+
+
+def _hold_worker(fleet, test_x, delay_s):
+    """Slow worker 0 down and occupy it with a one-row request, so the
+    requests submitted next queue up behind it and drain as one batch.
+    Returns the occupying request's future."""
+    assert fleet.inject_chaos(0, {"kind": "slow", "delay_s": delay_s})
+    blocker = fleet.submit_predict(test_x[:1])
+    time.sleep(delay_s / 2)  # the worker has taken it and sleeps
+    return blocker
 
 
 def _wait_for(predicate, timeout_s=10.0, poll_s=0.01):
@@ -126,6 +147,163 @@ class TestAdmission:
             assert fleet.metrics.problem_counts().get(
                 "deadline-expired", 0
             ) >= 1
+
+
+class TestBatching:
+    """Workers score each drained queue as one micro-batch."""
+
+    def test_mixed_batch_matches_artifact_row_for_row(
+        self, artifact, fitted
+    ):
+        _, test_x = fitted
+        with FleetServer(artifact, n_workers=1) as fleet:
+            blocker = _hold_worker(fleet, test_x, 0.2)
+            requests = [
+                ("predict", test_x[0:1]),
+                ("scores", test_x[1:4]),
+                ("predict", test_x[4:6]),
+                ("scores", test_x[6:7]),
+                ("predict", test_x[7:12]),
+            ]
+            futures = [
+                (fleet.submit_predict if kind == "predict"
+                 else fleet.submit_decision_scores)(rows)
+                for kind, rows in requests
+            ]
+            blocker.result(timeout=10.0)
+            for (kind, rows), future in zip(requests, futures):
+                result = future.result(timeout=10.0)
+                if kind == "predict":
+                    np.testing.assert_array_equal(
+                        result, artifact.predict(rows)
+                    )
+                else:
+                    np.testing.assert_allclose(
+                        result, artifact.decision_scores(rows)
+                    )
+            stats = fleet.stats()
+            # The blocker alone, then all five requests (12 rows) as one
+            # batch: one batch-size and one stage record per batch.
+            assert stats["n_requests"] == 6
+            assert stats["batch_sizes"] == {"1": 1, "12": 1}
+            assert stats["mean_batch_size"] == pytest.approx(6.5)
+            assert stats["stages"]["n_batches"] == 2
+
+    def test_requests_queued_before_reload_use_old_epoch(
+        self, artifact, artifact_v2, fitted, monkeypatch
+    ):
+        _, test_x = fitted
+        assert not np.allclose(
+            artifact.decision_scores(test_x[:8]),
+            artifact_v2.decision_scores(test_x[:8]),
+        )
+        with FleetServer(artifact, n_workers=1) as fleet:
+            request_queue = fleet._workers[0].queue
+            put = request_queue.put
+            reload_queued = threading.Event()
+
+            def put_and_flag(message, *args, **kwargs):
+                put(message, *args, **kwargs)
+                if message[0] == "reload":
+                    reload_queued.set()
+
+            monkeypatch.setattr(request_queue, "put", put_and_flag)
+            blocker = _hold_worker(fleet, test_x, 0.2)
+            before = [
+                fleet.submit_decision_scores(test_x[i:i + 2]) for i in (0, 2)
+            ]
+            outcome = {}
+            swap = threading.Thread(
+                target=lambda: outcome.update(fleet.deploy(artifact_v2))
+            )
+            swap.start()
+            assert reload_queued.wait(timeout=10.0)
+            after = [
+                fleet.submit_decision_scores(test_x[i:i + 2]) for i in (4, 6)
+            ]
+            swap.join(timeout=30.0)
+            assert outcome.get("ok") is True
+            blocker.result(timeout=10.0)
+            for i, future in zip((0, 2), before):
+                np.testing.assert_allclose(
+                    future.result(timeout=10.0),
+                    artifact.decision_scores(test_x[i:i + 2]),
+                )
+            for i, future in zip((4, 6), after):
+                np.testing.assert_allclose(
+                    future.result(timeout=10.0),
+                    artifact_v2.decision_scores(test_x[i:i + 2]),
+                )
+
+    def test_sigkill_of_worker_holding_a_batch_retries_it(
+        self, artifact, fitted
+    ):
+        _, test_x = fitted
+        with FleetServer(artifact, n_workers=2) as fleet:
+            for index in (0, 1):
+                assert fleet.inject_chaos(
+                    index, {"kind": "slow", "delay_s": 0.2}
+                )
+            # Four requests per worker: each serves one or more first,
+            # then sleeps on the batch of the rest when the kill lands.
+            futures = [
+                fleet.submit_predict(test_x[i:i + 1]) for i in range(8)
+            ]
+            time.sleep(0.3)
+            assert fleet.kill_worker(0) is not None
+            for i, future in enumerate(futures):
+                np.testing.assert_array_equal(
+                    future.result(timeout=15.0),
+                    artifact.predict(test_x[i:i + 1]),
+                )
+            assert fleet.metrics.n_retries >= 3
+            assert fleet.metrics.n_errors == 0
+
+
+class TestAdmissionValidation:
+    def test_non_finite_rows_rejected_at_submit(self, artifact, fitted):
+        _, test_x = fitted
+        with FleetServer(artifact, n_workers=1) as fleet:
+            for bad in (np.nan, np.inf, -np.inf):
+                rows = np.array(test_x[:2], dtype=np.float64)
+                rows[1, 0] = bad
+                with pytest.raises(ValueError, match="NaN or infinity"):
+                    fleet.submit_predict(rows)
+                with pytest.raises(ValueError, match="NaN or infinity"):
+                    fleet.submit_decision_scores(rows)
+            assert fleet.stats()["fleet"]["pending"] == 0
+            np.testing.assert_array_equal(
+                fleet.predict(test_x[:2]), artifact.predict(test_x[:2])
+            )
+
+    def test_failing_batch_keeps_each_error_with_its_request(
+        self, artifact, fitted, monkeypatch
+    ):
+        _, test_x = fitted
+        with FleetServer(artifact, n_workers=1) as fleet:
+            # Skip admission so a non-finite row reaches a worker batch
+            # and makes its one-pass scoring raise.
+            monkeypatch.setattr(
+                fleet, "_validate",
+                lambda X: np.atleast_2d(np.asarray(X, dtype=np.float64)),
+            )
+            poisoned = np.array(test_x[2:3], dtype=np.float64)
+            poisoned[0, 0] = np.nan
+            blocker = _hold_worker(fleet, test_x, 0.1)
+            good = fleet.submit_predict(test_x[0:2])
+            bad = fleet.submit_predict(poisoned)
+            scores = fleet.submit_decision_scores(test_x[3:5])
+            with pytest.raises(RequestFailed, match="NaN"):
+                bad.result(timeout=10.0)
+            np.testing.assert_array_equal(
+                good.result(timeout=10.0), artifact.predict(test_x[0:2])
+            )
+            np.testing.assert_allclose(
+                scores.result(timeout=10.0),
+                artifact.decision_scores(test_x[3:5]),
+            )
+            blocker.result(timeout=10.0)
+            assert fleet.metrics.n_errors == 1
 
 
 class TestFaultTolerance:
@@ -224,6 +402,37 @@ class TestDeploy:
                 fleet.deploy(wrong)
 
 
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/maps"), reason="needs /proc/<pid>/maps"
+)
+class TestMappings:
+    def test_reloads_close_superseded_mappings(
+        self, artifact, artifact_v2, fitted
+    ):
+        _, test_x = fitted
+        with FleetServer(artifact, n_workers=1) as fleet:
+            names = [fleet.shared_artifact.name]
+            for i in range(4):
+                outcome = fleet.deploy(artifact_v2 if i % 2 == 0 else artifact)
+                assert outcome["ok"] is True
+                names.append(fleet.shared_artifact.name)
+            assert len(set(names)) == 5
+            np.testing.assert_array_equal(
+                fleet.predict(test_x[:4]), artifact.predict(test_x[:4])
+            )
+            (pid,) = fleet.worker_pids()
+            with open(f"/proc/{pid}/maps") as maps:
+                lines = maps.read().splitlines()
+            mapped = {
+                name for name in names if any(name in line for line in lines)
+            }
+            # The current epoch, plus at most the segment that was active
+            # at fork time: the worker inherits the supervisor's mapping
+            # of it.  Each superseded attach is closed.
+            assert names[-1] in mapped
+            assert len(mapped) <= 2, mapped
+
+
 class TestSupervisorRaces:
     """Regressions for collector/watchdog races around worker death."""
 
@@ -298,14 +507,16 @@ class TestSupervisorRaces:
                 before = owner.assigned
 
             fleet._on_response(
-                stale_sender, ("res", pending.rid, "ok", "stale", None)
+                stale_sender, ("res", [(pending.rid, "ok", "stale")], None)
             )
             assert not pending.future.done()
             with fleet._lock:
                 assert pending.rid in fleet._pending
                 assert owner.assigned == before
 
-            fleet._on_response(owner, ("res", pending.rid, "ok", "fresh", None))
+            fleet._on_response(
+                owner, ("res", [(pending.rid, "ok", "fresh")], None)
+            )
             assert pending.future.result() == "fresh"
             with fleet._lock:
                 assert pending.rid not in fleet._pending
