@@ -56,17 +56,25 @@ _OPENBLAS_SET_THREADS = (
     "scipy_openblas_set_num_threads64_",
 )
 
+#: OpenBLAS's own thread-pool teardown, the function it runs before a
+#: ``fork``; the prefixed ``scipy-openblas`` builds export it unprefixed.
+_OPENBLAS_SHUTDOWN = "blas_thread_shutdown_"
+
 
 def pin_blas_threads() -> bool:
     """Set every OpenBLAS loaded in this process to one thread.
 
     The libraries are found by path in ``/proc/self/maps`` and set through
     their exported ``*set_num_threads*`` entry point via ``ctypes``.
-    Processes that parallelise by forking call this at start-up: a forked
-    child inherits OpenBLAS's thread pool, which spins on multi-row GEMMs
-    and competes with the sibling processes for the same cores.  Returns
-    True when at least one library was set, and is a no-op returning
-    False where there is no ``/proc`` or no OpenBLAS is loaded.
+    Processes that parallelise by forking call this at start-up, before
+    they run BLAS on more than one thread: a forked child inherits
+    OpenBLAS's thread count and rebuilds its thread pool, which spins on
+    multi-row GEMMs and competes with the sibling processes for the same
+    cores.  The setter itself rebuilds the pool, and a new pool thread
+    spins for about 0.1 s of a core before it parks, so the pool is shut
+    down again right after: at one thread OpenBLAS never uses it.
+    Returns True when at least one library was set, and is a no-op
+    returning False where there is no ``/proc`` or no OpenBLAS is loaded.
     """
     try:
         with open("/proc/self/maps") as maps:
@@ -89,6 +97,11 @@ def pin_blas_threads() -> bool:
                 setter.argtypes = [ctypes.c_int]
                 setter.restype = None
                 setter(1)
+                shutdown = getattr(library, _OPENBLAS_SHUTDOWN, None)
+                if shutdown is not None:
+                    shutdown.argtypes = []
+                    shutdown.restype = ctypes.c_int
+                    shutdown()
                 pinned = True
                 break
     return pinned

@@ -697,6 +697,11 @@ class FleetServer:
                 if pending.span is not None:
                     spans.append((pending.span, str(status)))
                     pending.span = None
+        if not settled:
+            # Every answer was stale: the batch belongs to a worker whose
+            # requests were failed or re-dispatched, so its batch size,
+            # stage times and spans are not this fleet's to record.
+            return
         for span, status in spans:
             span.end(status)
         if isinstance(meta, dict):
@@ -723,7 +728,7 @@ class FleetServer:
                 pending.future.set_exception(
                     DeadlineExceeded(
                         f"request {pending.rid} expired before a worker "
-                        f"scored it"
+                        f"answered it"
                     )
                 )
                 self.metrics.record_error()

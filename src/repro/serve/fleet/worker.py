@@ -10,10 +10,11 @@ heartbeat, block for one message on its bounded request queue, act.
 A request starts a **micro-batch**: the worker drains every request
 already queued behind it, scores all their rows in one encode→score
 pass, splits the results back by each request's row count and answers
-the whole batch with one reply.  A batch is whatever was queued, so the
-queue depth bounds it.  A control message ends the batch in front of it
-and runs after that batch, so requests queued before a ``reload`` are
-scored by the old epoch.
+the whole batch with one reply (paced replies under a delay, below).
+A batch is whatever was queued, so the queue depth bounds it.  A
+control message ends the batch in front of it and runs after that
+batch, so requests queued before a ``reload`` are scored by the old
+epoch.
 
 The protocol is deliberately tiny (plain tuples over one ``mp.Queue`` in
 and one pipe out, per worker — a SIGKILLed worker can only corrupt *its
@@ -21,15 +22,16 @@ own* channels, which the supervisor discards wholesale on restart):
 
 - ``("req", rid, kind, rows, deadline, enqueued, trace)`` — score
   ``rows`` (``kind`` is ``"predict"`` or ``"scores"``) unless
-  ``deadline`` (unix seconds) has passed by the time its batch is
-  scored.  ``trace`` is an optional
+  ``deadline`` (unix seconds) has passed by the time it is answered.
+  ``trace`` is an optional
   :class:`~repro.obs.trace.TraceContext` tuple riding the request;
-- ``("res", replies, meta)`` — the reply to one batch.  ``replies``
-  holds one ``(rid, status, payload)`` per request: ``"ok"`` with the
-  request's result rows, ``"deadline"`` with ``None`` for a request that
-  expired before it was scored (the model never sees it), or
-  ``"error"`` with the exception's repr.  ``meta`` is ``None`` when
-  nothing was scored, else a dict: ``n_rows`` (rows scored), the
+- ``("res", replies, meta)`` — a reply: one per batch, or one per
+  request of a delayed batch.  ``replies`` holds one
+  ``(rid, status, payload)`` per request answered: ``"ok"`` with the
+  request's result rows, ``"deadline"`` with ``None`` for a request
+  whose deadline passed before it was answered, or ``"error"`` with the
+  exception's repr.  ``meta`` rides the first reply of a scored batch
+  and is ``None`` otherwise; it is a dict: ``n_rows`` (rows scored), the
   ``encode_s`` / ``score_s`` stage split when the model's pipeline
   splits cleanly (see :mod:`repro.serve.staging`), and, for sampled
   traces, the worker's finished span dicts under ``"spans"`` for the
@@ -45,11 +47,14 @@ own* channels, which the supervisor discards wholesale on restart):
 - ``("stop",)`` — clean exit.
 
 The service floor and the chaos ``slow`` delay stay per request: a batch
-of ``k`` live requests sleeps ``k`` times the delay, and deadlines are
-checked again after that sleep, right before scoring.  Every sampled
-request gets its own ``worker`` span under its own ``dispatch`` span.
-That span covers the whole batch, has ``encode`` / ``score`` children
-and carries the batch size, so the spans of one batch overlap.
+of ``k`` live requests sleeps ``k`` times the delay.  The batch is scored
+once its first request's delay has passed, right after its deadlines are
+checked again, and each request's reply is released as its own share of
+the sleep elapses; a request whose deadline passes before its release is
+answered ``"deadline"``.  Every sampled request gets its own ``worker``
+span under its own ``dispatch`` span.  That span covers the whole
+batch, has ``encode`` / ``score`` children and carries the batch size,
+so the spans of one batch overlap.
 
 Every ``crc_check_every`` loop ticks the worker re-verifies the segment
 CRC; on mismatch it reports ``("corrupt", ...)`` and exits with
@@ -90,11 +95,11 @@ def _beat(heartbeat: Any, index: int) -> None:
     heartbeat[index] = time.time()
 
 
-def _sleep_with_beats(seconds: float, heartbeat: Any, index: int) -> None:
-    deadline = time.perf_counter() + seconds
+def _sleep_until(until: float, heartbeat: Any, index: int) -> None:
+    """Sleep until ``time.perf_counter()`` reaches ``until``, beating."""
     while True:
         _beat(heartbeat, index)
-        remaining = deadline - time.perf_counter()
+        remaining = until - time.perf_counter()
         if remaining <= 0:
             return
         time.sleep(min(remaining, _SLICE_S))
@@ -212,15 +217,28 @@ def _serve_batch(
     heartbeat: Any,
     index: int,
     recorder: Optional[FlightRecorder],
-) -> Message:
-    """Serve one drained batch; returns its ``("res", ...)`` reply."""
+    send: Any,
+) -> None:
+    """Serve one drained batch, sending its ``("res", ...)`` replies.
+
+    Without a delay the batch is answered by one reply.  With one, its
+    ``k`` live requests are paced ``delay_s`` apart from the batch's
+    start: the batch is scored once the first request's delay has
+    passed, and each later request's reply is released as its own share
+    of the ``k × delay_s`` sleep elapses.  Clients then refill the queue
+    while the worker still sleeps on the rest of the batch, so a worker
+    under a delay never runs dry between batches.  The first reply
+    carries the batch's ``meta``.
+    """
     replies: List[Tuple[int, str, Any]] = []
     live = _expire(batch, replies)
+    start = time.perf_counter()
     if live and delay_s > 0:
-        _sleep_with_beats(delay_s * len(live), heartbeat, index)
+        _sleep_until(start + delay_s, heartbeat, index)
         live = _expire(live, replies)
     if not live:
-        return ("res", replies, None)
+        send(("res", replies, None))
+        return
     start_unix = time.time()
     start_perf = time.perf_counter()
     encode_s: Optional[float] = None
@@ -239,8 +257,7 @@ def _serve_batch(
         meta["encode_s"] = float(encode_s)
         meta["score_s"] = float(score_s or 0.0)
     spans: List[Dict[str, object]] = []
-    for message, (status, payload) in zip(live, outcomes):
-        replies.append((message[1], status, payload))
+    for message, (status, _) in zip(live, outcomes):
         trace = message[6]
         if trace is not None and trace[2]:
             spans.extend(_request_spans(
@@ -254,7 +271,21 @@ def _serve_batch(
         if recorder is not None:
             for span in spans:
                 recorder.record_span(span)
-    return ("res", replies, meta)
+    answers = [
+        (message[1], status, payload)
+        for message, (status, payload) in zip(live, outcomes)
+    ]
+    if delay_s <= 0:
+        send(("res", replies + answers, meta))
+        return
+    send(("res", replies + answers[:1], meta))
+    for share in range(2, len(live) + 1):
+        _sleep_until(start + share * delay_s, heartbeat, index)
+        rid, status, payload = answers[share - 1]
+        deadline = live[share - 1][4]
+        if deadline is not None and time.time() > deadline:
+            status, payload = "deadline", None
+        send(("res", [(rid, status, payload)], None))
 
 
 def fleet_worker_main(
@@ -320,10 +351,10 @@ def fleet_worker_main(
         if tag == "req":
             batch = [message]
             held = _drain(requests, batch)
-            responses.send(_serve_batch(
+            _serve_batch(
                 model, batch, service_floor_s + chaos_delay_s,
-                heartbeat, index, recorder,
-            ))
+                heartbeat, index, recorder, responses.send,
+            )
 
         elif tag == "reload":
             _, epoch, new_name = message

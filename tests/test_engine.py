@@ -241,9 +241,10 @@ class TestNJobsResolution:
 
 
 #: Runs in a fresh interpreter: pins BLAS, then asks every loaded
-#: OpenBLAS for its thread count through its own getter.
+#: OpenBLAS for its thread count through its own getter.  A forked child
+#: pins too and reports how many threads it is left with.
 _BLAS_PROBE = textwrap.dedent("""
-    import ctypes, json
+    import ctypes, json, os
     import numpy
     from repro.engine.executor import pin_blas_threads
 
@@ -269,9 +270,19 @@ _BLAS_PROBE = textwrap.dedent("""
         return counts
 
     before = thread_counts()
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        pin_blas_threads()
+        os.write(write_end, str(len(os.listdir("/proc/self/task"))).encode())
+        os._exit(0)
+    os.close(write_end)
+    child_threads = int(os.read(read_end, 64))
+    os.waitpid(pid, 0)
     pinned = pin_blas_threads()
     print(json.dumps({"before": before, "pinned": pinned,
-                      "after": thread_counts()}))
+                      "after": thread_counts(),
+                      "child_threads": child_threads}))
 """)
 
 
@@ -297,6 +308,8 @@ class TestPinBlasThreads:
             pytest.skip("numpy is not linked against OpenBLAS here")
         assert report["pinned"] is True
         assert set(report["after"].values()) == {1}, report
+        # Pinning leaves a forked child no BLAS pool thread spinning.
+        assert report["child_threads"] == 1, report
 
     def test_no_op_without_proc(self, monkeypatch):
         def no_proc(*args, **kwargs):

@@ -189,6 +189,32 @@ class TestBatching:
             assert stats["mean_batch_size"] == pytest.approx(6.5)
             assert stats["stages"]["n_batches"] == 2
 
+    def test_delayed_batch_releases_each_reply_after_its_share(
+        self, artifact, fitted
+    ):
+        _, test_x = fitted
+        with FleetServer(artifact, n_workers=1) as fleet:
+            blocker = _hold_worker(fleet, test_x, 0.2)
+            futures = [
+                fleet.submit_predict(test_x[i:i + 1]) for i in range(3)
+            ]
+            done_at = {}
+            for i, future in enumerate(futures):
+                future.add_done_callback(
+                    lambda _, i=i: done_at.setdefault(i, time.perf_counter())
+                )
+            blocker.result(timeout=10.0)
+            for i, future in enumerate(futures):
+                np.testing.assert_array_equal(
+                    future.result(timeout=10.0),
+                    artifact.predict(test_x[i:i + 1]),
+                )
+            # One batch of three, scored once, but its replies leave one
+            # 0.2 s delay apart instead of together at the end.
+            assert fleet.stats()["batch_sizes"] == {"1": 1, "3": 1}
+            assert done_at[1] - done_at[0] >= 0.15
+            assert done_at[2] - done_at[1] >= 0.15
+
     def test_requests_queued_before_reload_use_old_epoch(
         self, artifact, artifact_v2, fitted, monkeypatch
     ):
@@ -506,13 +532,18 @@ class TestSupervisorRaces:
                 fleet._pending[pending.rid] = pending
                 before = owner.assigned
 
+            stale_meta = {"n_rows": 1, "encode_s": 1e-4, "score_s": 1e-4}
             fleet._on_response(
-                stale_sender, ("res", [(pending.rid, "ok", "stale")], None)
+                stale_sender,
+                ("res", [(pending.rid, "ok", "stale")], stale_meta),
             )
             assert not pending.future.done()
             with fleet._lock:
                 assert pending.rid in fleet._pending
                 assert owner.assigned == before
+            # A batch with only stale answers is not recorded either.
+            assert fleet.stats()["batch_sizes"] == {}
+            assert fleet.stats()["stages"] is None
 
             fleet._on_response(
                 owner, ("res", [(pending.rid, "ok", "fresh")], None)
