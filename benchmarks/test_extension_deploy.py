@@ -12,8 +12,8 @@ counterparts so regressions in the edge-lifecycle path are caught:
 import numpy as np
 
 from common import SEED, bench_dataset, make_disthd
-from repro.core.config import DistHDConfig
-from repro.deploy import QuantizedHDCModel, StreamingDistHD
+from repro.deploy import QuantizedHDCModel
+from repro.models import make_model
 from repro.pipeline.report import format_markdown_table
 
 
@@ -21,19 +21,20 @@ def test_extension_streaming_vs_batch(benchmark):
     def run():
         ds = bench_dataset("pamap2")
         batch = make_disthd(dim=256).fit(ds.train_x, ds.train_y)
-        config = DistHDConfig(
-            dim=256, regen_rate=0.2, selection="union", seed=SEED
+        # "disthd-stream" defaults to regen_rate=0.2, union selection.
+        stream = make_model(
+            "disthd-stream", dim=256, reservoir_size=400, regen_every=5,
+            seed=SEED,
         )
-        stream = StreamingDistHD(
-            ds.n_features, ds.n_classes, config,
-            reservoir_size=400, regen_every=5,
-        )
+        classes = np.arange(ds.n_classes)
         rng = np.random.default_rng(SEED)
         for _ in range(5):
             order = rng.permutation(ds.n_train)
             for start in range(0, ds.n_train, 64):
                 idx = order[start : start + 64]
-                stream.partial_fit(ds.train_x[idx], ds.train_y[idx])
+                stream.partial_fit(
+                    ds.train_x[idx], ds.train_y[idx], classes=classes
+                )
         return (
             batch.score(ds.test_x, ds.test_y),
             stream.score(ds.test_x, ds.test_y),

@@ -27,21 +27,22 @@ from typing import Any, Dict, Optional
 import numpy as np
 
 from repro.backend import default_backend
+from repro.deploy.staged import StagedModel
 from repro.hdc.memory import AssociativeMemory, as_numpy_vectors
 from repro.hdc.ops import cosine_similarity
 from repro.hdc.packed import flip_packed_bits, pack_code_rows, unpack_rows
 from repro.noise.bitflip import flip_bits
 from repro.noise.quantization import QuantizedTensor, dequantize, quantize
 from repro.utils.rng import SeedLike, as_rng
-from repro.utils.validation import (
-    check_features_match,
-    check_matrix,
-    check_probability,
-)
+from repro.utils.validation import check_probability
 
 
-class QuantizedHDCModel:
+class QuantizedHDCModel(StagedModel):
     """A frozen, fixed-point inference copy of a fitted HDC classifier.
+
+    Inference is the :class:`~repro.deploy.staged.StagedModel` pipeline:
+    the frozen encoder, then :meth:`score_encoded` against the quantised
+    memory.
 
     Parameters
     ----------
@@ -246,10 +247,12 @@ class QuantizedHDCModel:
 
     # ------------------------------------------------------------- inference
 
+    def encode(self, X: Any) -> Any:
+        """The encoder stage: the frozen encoder's validating ``encode``."""
+        return self.encoder.encode(X)
+
     def score_encoded(self, encoded: Any) -> np.ndarray:
-        """Scores for an already-encoded query block — the scorer stage of
-        :meth:`decision_scores`, exposed separately so benchmarks can time
-        scoring apart from encoding (which dominates end to end).
+        """The scorer stage: scores for an already-encoded query block.
 
         Unpacked modes compute cosine similarity of the (float) encoding
         against the decoded memory; packed mode sign-binarises + packs the
@@ -269,40 +272,6 @@ class QuantizedHDCModel:
         return np.asarray(
             cosine_similarity(encoded, self.class_vectors), dtype=np.float64
         )
-
-    def decision_scores(self, X) -> np.ndarray:
-        """Similarity scores of encoded queries against the quantised memory.
-
-        Cosine similarity for the unpacked modes; the packed-domain
-        XOR + popcount score for ``packed=True`` (see
-        :meth:`score_encoded`).  With ``chunk_size`` set, queries are
-        encoded and scored in row windows, so the full ``(n, D)`` encoding
-        never exists at once.
-        """
-        X = check_matrix(X, "X")
-        check_features_match(self.n_features_, X.shape[1], "QuantizedHDCModel")
-
-        def score(block: np.ndarray) -> np.ndarray:
-            return self.score_encoded(self.encoder.encode(block))
-
-        chunk = self.chunk_size
-        n = X.shape[0]
-        if chunk is None or n <= chunk:
-            return score(X)
-        out = np.empty((n, self.classes_.size), dtype=np.float64)
-        for start in range(0, n, chunk):
-            stop = min(start + chunk, n)
-            out[start:stop] = score(X[start:stop])
-        return out
-
-    def predict(self, X) -> np.ndarray:
-        """Most-similar class label per query."""
-        return self.classes_[np.argmax(self.decision_scores(X), axis=1)]
-
-    def score(self, X, y) -> float:
-        """Top-1 accuracy."""
-        y = np.asarray(y).ravel()
-        return float(np.mean(self.predict(X) == y))
 
     def footprint_report(self) -> Dict[str, Any]:
         """Deployment footprint summary (class memory + encoder).

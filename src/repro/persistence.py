@@ -20,7 +20,7 @@ Two families of archive:
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Callable, Dict, Tuple, Union
+from typing import Any, Callable, Dict, Tuple, Union
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from repro.baselines.onlinehd import OnlineHDClassifier
 from repro.baselines.svm import LinearSVMClassifier, RFFSVMClassifier
 from repro.core.disthd import DistHDClassifier
 from repro.deploy.quantized import QuantizedHDCModel, QuantizedTrainer
+from repro.deploy.staged import StagedModel
 from repro.hdc.encoders.id_level import IDLevelEncoder
 from repro.hdc.encoders.projection import RandomProjectionEncoder
 from repro.hdc.encoders.rbf import RBFEncoder
@@ -158,12 +159,13 @@ def _restore_encoder(kind: str, data, n_features: int, dim: int, dtype):
     raise ValueError(f"unknown encoder kind {kind!r} in archive")
 
 
-class LoadedHDCModel:
+class LoadedHDCModel(StagedModel):
     """A fitted, inference-only HDC model restored from disk.
 
     Exposes the inference half of the estimator protocol (``predict``,
-    ``predict_topk``, ``decision_scores``, ``score``); training state
-    (histories, configs) is intentionally not persisted.
+    ``predict_topk``, ``decision_scores``, ``score``) through the
+    :class:`~repro.deploy.staged.StagedModel` encode/score pipeline;
+    training state (histories, configs) is intentionally not persisted.
     """
 
     def __init__(self, model_kind: str, encoder, memory: AssociativeMemory,
@@ -174,29 +176,17 @@ class LoadedHDCModel:
         self.classes_ = classes
         self.n_features_ = int(n_features)
 
-    def decision_scores(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim == 1:
-            X = X.reshape(1, -1)
-        if X.shape[1] != self.n_features_:
-            raise ValueError(
-                f"model was fit with {self.n_features_} features but "
-                f"received {X.shape[1]}"
-            )
-        return self.memory_.similarities(self.encoder_.encode(X))
+    def encode(self, X) -> Any:
+        return self.encoder_.encode(X)
 
-    def predict(self, X) -> np.ndarray:
-        return self.classes_[np.argmax(self.decision_scores(X), axis=1)]
+    def score_encoded(self, encoded) -> np.ndarray:
+        return self.memory_.similarities(encoded)
 
     def predict_topk(self, X, k: int = 2) -> np.ndarray:
         scores = self.decision_scores(X)
         if not 1 <= k <= scores.shape[1]:
             raise ValueError(f"k must lie in [1, {scores.shape[1]}], got {k}")
         return self.classes_[np.argsort(-scores, axis=1)[:, :k]]
-
-    def score(self, X, y) -> float:
-        y = np.asarray(y).ravel()
-        return float(np.mean(self.predict(X) == y))
 
 
 # --------------------------------------------------------------------- HDC

@@ -9,9 +9,11 @@ The front end is a dispatcher with **per-worker bounded queues** and
 **admission control**: a request is placed on the least-loaded running
 worker's queue, and when every queue is full it is *shed* with an
 explicit :class:`~repro.serve.fleet.errors.Overloaded` instead of
-queueing unboundedly.  Requests are validated once, at admission, so a
-malformed or non-finite row is rejected with ``ValueError`` before it can
-share a worker batch.  Each request carries a **deadline**; a worker
+queueing unboundedly.  Requests are validated once, at admission, by the
+serving core's :func:`~repro.serve.core.admit` (the check
+:class:`~repro.serve.server.ModelServer` runs too), so a malformed or
+non-finite row is rejected with ``ValueError`` before it can share a
+worker batch.  Each request carries a **deadline**; a worker
 answers an expired request without touching the model.  Workers drain
 their queue into micro-batches and reply once per batch (see
 :mod:`repro.serve.fleet.worker`); the collector settles a whole reply
@@ -77,6 +79,7 @@ from repro.analysis.annotations import guarded_by, make_lock
 from repro.deploy.quantized import QuantizedHDCModel
 from repro.obs.ids import wall_now
 from repro.obs.trace import TraceContext, span_record
+from repro.serve.core import PREDICT, SCORES, admit
 from repro.serve.fleet.errors import (
     DeadlineExceeded,
     FleetClosed,
@@ -87,7 +90,7 @@ from repro.serve.fleet.errors import (
 from repro.serve.fleet.shm import EXIT_CORRUPT, SharedArtifact
 from repro.serve.fleet.worker import fleet_worker_main, resolve_worker_count
 from repro.serve.metrics import ServerMetrics
-from repro.utils.validation import check_matrix, check_positive_int
+from repro.utils.validation import check_positive_int
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.obs import Observability
@@ -457,16 +460,9 @@ class FleetServer:
     # -------------------------------------------------------------- admission
 
     def _validate(self, X: Any) -> np.ndarray:
-        """The one validation a request gets: shape, width and finite
-        values, at admission, so a bad row never reaches a worker batch
-        shared with well-formed requests."""
-        rows = check_matrix(X, "X")
-        if rows.shape[1] != self._n_features:
-            raise ValueError(
-                f"served artifact expects {self._n_features} features, "
-                f"got {rows.shape[1]}"
-            )
-        return rows
+        """The one validation a request gets, at admission (see
+        :func:`repro.serve.core.admit`)."""
+        return admit(X, self._n_features)
 
     def _dispatch_to(
         self, pending: _Pending, candidates: Sequence[_WorkerHandle]
@@ -551,7 +547,7 @@ class FleetServer:
         ``ctx`` is an optional trace context: sampled requests get a
         ``dispatch`` span and the worker ships its stage spans back on
         the same trace."""
-        return self._submit("predict", X, timeout, ctx)
+        return self._submit(PREDICT, X, timeout, ctx)
 
     def submit_decision_scores(
         self,
@@ -560,7 +556,7 @@ class FleetServer:
         ctx: Optional[TraceContext] = None,
     ) -> Future:
         """Dispatch a ``scores`` request; resolves to (n, k) scores."""
-        return self._submit("scores", X, timeout, ctx)
+        return self._submit(SCORES, X, timeout, ctx)
 
     def predict(self, X: Any, timeout: Optional[float] = None) -> np.ndarray:
         """Synchronous fleet prediction (submit + wait)."""
@@ -928,7 +924,7 @@ class FleetServer:
             outcome = "fail"
             retryable = (
                 self.retry_on_worker_loss
-                and pending.kind == "predict"
+                and pending.kind == PREDICT
                 and pending.attempts < self.max_retries
                 and time.time() < pending.deadline
             )

@@ -8,22 +8,28 @@ deploy model over views into the segment, and then loops: stamp a
 heartbeat, block for one message on its bounded request queue, act.
 
 A request starts a **micro-batch**: the worker drains every request
-already queued behind it, scores all their rows in one encode→score
-pass, splits the results back by each request's row count and answers
-the whole batch with one reply (paced replies under a delay, below).
-A batch is whatever was queued, so the queue depth bounds it.  A
-control message ends the batch in front of it and runs after that
-batch, so requests queued before a ``reload`` are scored by the old
-epoch.
+already queued behind it and hands them all to the serving core
+(:func:`repro.serve.core.score_requests`, the one
+:class:`~repro.serve.server.ModelServer` uses too).  The core runs one
+encode→score pass of the artifact's
+:class:`~repro.deploy.staged.StagedModel` pipeline over their rows,
+timing the two stages, and splits the results back by each request's row
+count; the worker answers the whole batch with one reply (paced replies
+under a delay, below).  When the batch pass raises, each request is
+scored alone through the same core, so an error stays with the request
+that caused it.  A batch is whatever was queued, so the queue depth
+bounds it.  A control message ends the batch in front of it and runs
+after that batch, so requests queued before a ``reload`` are scored by
+the old epoch.
 
 The protocol is deliberately tiny (plain tuples over one ``mp.Queue`` in
 and one pipe out, per worker — a SIGKILLed worker can only corrupt *its
 own* channels, which the supervisor discards wholesale on restart):
 
 - ``("req", rid, kind, rows, deadline, enqueued, trace)`` — score
-  ``rows`` (``kind`` is ``"predict"`` or ``"scores"``) unless
-  ``deadline`` (unix seconds) has passed by the time it is answered.
-  ``trace`` is an optional
+  ``rows`` (``kind`` is :data:`~repro.serve.core.PREDICT` or
+  :data:`~repro.serve.core.SCORES`) unless ``deadline`` (unix seconds)
+  has passed by the time it is answered.  ``trace`` is an optional
   :class:`~repro.obs.trace.TraceContext` tuple riding the request;
 - ``("res", replies, meta)`` — a reply: one per batch, or one per
   request of a delayed batch.  ``replies`` holds one
@@ -32,10 +38,9 @@ own* channels, which the supervisor discards wholesale on restart):
   whose deadline passed before it was answered, or ``"error"`` with the
   exception's repr.  ``meta`` rides the first reply of a scored batch
   and is ``None`` otherwise; it is a dict: ``n_rows`` (rows scored), the
-  ``encode_s`` / ``score_s`` stage split when the model's pipeline
-  splits cleanly (see :mod:`repro.serve.staging`), and, for sampled
-  traces, the worker's finished span dicts under ``"spans"`` for the
-  supervisor's tracer to ingest;
+  ``encode_s`` / ``score_s`` stage split the core timed (absent when the
+  batch pass raised), and, for sampled traces, the worker's finished
+  span dicts under ``"spans"`` for the supervisor's tracer to ingest;
 - ``("reload", epoch, shm_name)`` — fleet hot-swap: attach the new
   segment, rebuild, ack ``("reloaded", ...)`` or
   ``("reload-failed", ...)``.  After a successful reload the worker
@@ -74,13 +79,11 @@ import time
 from multiprocessing.connection import Connection
 from typing import Any, Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.engine.executor import pin_blas_threads, resolve_n_jobs
 from repro.obs.recorder import FlightRecorder
 from repro.obs.trace import TraceContext, span_record
+from repro.serve.core import score_requests
 from repro.serve.fleet.shm import EXIT_CORRUPT, SharedArtifact
-from repro.serve.staging import staged_scores
 
 #: Largest single sleep slice while idling/delaying — heartbeats must keep
 #: flowing through any legitimate wait so the watchdog only fires on real
@@ -135,45 +138,13 @@ def _expire(
     return live
 
 
-def _score_batch(
-    model: Any, live: List[Message]
-) -> Tuple[List[np.ndarray], Optional[float], Optional[float]]:
-    """One encode→score pass over the rows of ``live``, split back per
-    request: label rows for ``predict``, score rows for ``scores``.
-
-    Returns ``(results, encode_s, score_s)``; the timings are the split
-    :class:`~repro.serve.server.ModelServer` records, ``None`` when the
-    model's pipeline does not split cleanly.
-    """
-    blocks = [message[3] for message in live]
-    rows = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-    encode_s: Optional[float] = None
-    score_s: Optional[float] = None
-    staged = staged_scores(model, rows)
-    if staged is not None:
-        scores, encode_s, score_s = staged
-    else:
-        scores = np.asarray(model.decision_scores(rows))
-    predict = [message[2] == "predict" for message in live]
-    labels = (
-        np.asarray(model.classes_[np.argmax(scores, axis=1)])
-        if any(predict) else scores
-    )
-    results = []
-    stop = 0
-    for is_predict, block in zip(predict, blocks):
-        start, stop = stop, stop + block.shape[0]
-        results.append((labels if is_predict else scores)[start:stop])
-    return results, encode_s, score_s
-
-
 def _score_each(model: Any, live: List[Message]) -> List[Tuple[str, Any]]:
     """Score each request alone, after a batch pass raised, so an error
     stays with the request that caused it."""
     outcomes: List[Tuple[str, Any]] = []
     for message in live:
         try:
-            (result,), _, _ = _score_batch(model, [message])
+            (result,), _, _ = score_requests(model, [(message[2], message[3])])
         except Exception as exc:  # noqa: BLE001 - reported per request
             outcomes.append(("error", repr(exc)))
         else:
@@ -245,7 +216,9 @@ def _serve_batch(
     score_s: Optional[float] = None
     outcomes: List[Tuple[str, Any]]
     try:
-        results, encode_s, score_s = _score_batch(model, live)
+        results, encode_s, score_s = score_requests(
+            model, [(message[2], message[3]) for message in live]
+        )
         outcomes = [("ok", result) for result in results]
     except Exception:  # noqa: BLE001 - isolated per request below
         outcomes = _score_each(model, live)

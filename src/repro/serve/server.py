@@ -1,9 +1,9 @@
 """The model server: a versioned model pool behind a micro-batcher.
 
 :class:`ModelServer` fronts any fitted model that exposes ``predict`` /
-``decision_scores`` (every library classifier, ``LoadedHDCModel`` archives
-and :class:`~repro.deploy.quantized.QuantizedHDCModel` deploy artifacts
-alike) with:
+``decision_scores`` (every library classifier, and every
+:class:`~repro.deploy.staged.StagedModel` artifact: quantized deploys and
+loaded HDC archives alike) with:
 
 - **micro-batched inference** — concurrent :meth:`~ModelServer.predict` /
   :meth:`~ModelServer.decision_scores` calls coalesce into bounded-latency
@@ -16,9 +16,12 @@ alike) with:
   retired version can be awaited until drained, so a swap drops zero
   requests;
 - **request-level metrics** — throughput, latency percentiles, the
-  batch-size histogram, the swap count and (for deploy artifacts and
-  loaded archives, whose pipelines split cleanly) the cumulative
-  encode-vs-score stage timings via :meth:`~ModelServer.stats`.
+  batch-size histogram, the swap count and (for ``StagedModel``
+  artifacts) the cumulative encode-vs-score stage timings via
+  :meth:`~ModelServer.stats`.
+
+Each batch is admitted and scored by the serving core
+(:mod:`repro.serve.core`) that the fleet workers share.
 
 The hot-swap protocol in detail (the invariant later replication work
 builds on): ``deploy`` prepares v(N+1) entirely off the request path
@@ -44,16 +47,11 @@ from repro.analysis.annotations import guarded_by, make_lock
 from repro.obs.ids import wall_now
 from repro.obs.trace import TraceContext, span_record
 from repro.serve.batcher import MicroBatcher
+from repro.serve.core import PREDICT, SCORES, admit, score_requests
 from repro.serve.metrics import ServerMetrics
-from repro.serve.staging import staged_scores
-from repro.utils.validation import check_matrix
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs import Observability
-
-#: Request kinds the batch handler understands.
-_KIND_PREDICT = "predict"
-_KIND_SCORES = "scores"
 
 
 # ``model`` is deliberately NOT a guarded field: writes happen under the
@@ -247,37 +245,6 @@ class ModelServer:
 
     # ---------------------------------------------------------------- handler
 
-    def _staged_scores(
-        self,
-        model: Any,
-        X: np.ndarray,
-        ctx: Optional[TraceContext] = None,
-    ) -> Optional[np.ndarray]:
-        """Score ``X`` with the encode and score stages timed separately.
-
-        The split itself lives in :func:`repro.serve.staging.staged_scores`
-        (shared with the fleet worker); this wrapper feeds the timings to
-        :meth:`~repro.serve.metrics.ServerMetrics.record_stage_times` — so
-        the stats endpoint shows how much of the serving budget goes to
-        encoding versus scoring — and, for a sampled batch, emits
-        ``encode`` / ``score`` spans parented to the batch span.
-        Returns ``None`` when the model has no clean split and the
-        handler falls back to ``model.decision_scores``.
-        """
-        result = staged_scores(model, X)
-        if result is None:
-            return None
-        scores, encode_s, score_s = result
-        self.metrics.record_stage_times(encode_s, score_s)
-        if ctx is not None and ctx.sampled and self.obs is not None:
-            now = wall_now()
-            self.obs.tracer.ingest([
-                span_record("encode", "server", ctx,
-                            now - encode_s - score_s, encode_s),
-                span_record("score", "server", ctx, now - score_s, score_s),
-            ])
-        return scores
-
     def _handle(
         self,
         kind: str,
@@ -293,20 +260,24 @@ class ModelServer:
             if active._try_enter():
                 break
         try:
-            if kind not in (_KIND_PREDICT, _KIND_SCORES):
-                raise ValueError(f"unknown request kind {kind!r}")
-            scores = self._staged_scores(active.model, X, ctx)
-            if scores is None:
-                if kind == _KIND_PREDICT:
-                    return np.asarray(active.model.predict(X))
-                return np.asarray(active.model.decision_scores(X))
-            if kind == _KIND_PREDICT:
-                return np.asarray(
-                    active.model.classes_[np.argmax(scores, axis=1)]
-                )
-            return scores
+            (result,), encode_s, score_s = score_requests(
+                active.model, [(kind, X)]
+            )
         finally:
             active._exit()
+        if encode_s is not None and score_s is not None:
+            # The stats endpoint's encode-vs-score split, and for a
+            # sampled batch its encode / score spans under the batch span.
+            self.metrics.record_stage_times(encode_s, score_s)
+            if ctx is not None and ctx.sampled and self.obs is not None:
+                now = wall_now()
+                self.obs.tracer.ingest([
+                    span_record("encode", "server", ctx,
+                                now - encode_s - score_s, encode_s),
+                    span_record("score", "server", ctx,
+                                now - score_s, score_s),
+                ])
+        return result
 
     def _on_group_done(self, latencies_s: List[float], ok: bool) -> None:
         self.metrics.record_requests(latencies_s)
@@ -317,18 +288,12 @@ class ModelServer:
     # ----------------------------------------------------------------- intake
 
     def _prepare(self, X: Any) -> np.ndarray:
-        """Validate a request up front so one bad request cannot poison a
-        batch shared with well-formed ones."""
+        """Admit a request up front (see :func:`repro.serve.core.admit`)
+        so one bad request cannot poison a batch shared with well-formed
+        ones."""
         if self._closed:
             raise RuntimeError("ModelServer is closed")
-        X = np.asarray(X, dtype=np.float64)
-        one_dim = X.ndim == 1
-        X = check_matrix(X.reshape(1, -1) if one_dim else X, "X")
-        expected = _model_n_features(self._active.model)
-        if expected is not None and X.shape[1] != expected:
-            raise ValueError(
-                f"served model expects {expected} features, got {X.shape[1]}"
-            )
+        X = admit(X, _model_n_features(self._active.model))
         if self._warm_rows is None:
             self._warm_rows = X[:1].copy()
         return X
@@ -337,13 +302,13 @@ class ModelServer:
         self, X: Any, ctx: Optional[TraceContext] = None
     ) -> Future:
         """Micro-batched ``predict``; resolves to the label rows for ``X``."""
-        return self._batcher.submit(_KIND_PREDICT, self._prepare(X), ctx)
+        return self._batcher.submit(PREDICT, self._prepare(X), ctx)
 
     def submit_decision_scores(
         self, X: Any, ctx: Optional[TraceContext] = None
     ) -> Future:
         """Micro-batched ``decision_scores``; resolves to ``(n, k)`` scores."""
-        return self._batcher.submit(_KIND_SCORES, self._prepare(X), ctx)
+        return self._batcher.submit(SCORES, self._prepare(X), ctx)
 
     def predict(self, X: Any, timeout: Optional[float] = None) -> np.ndarray:
         """Synchronous micro-batched prediction (submit + wait)."""

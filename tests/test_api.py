@@ -124,23 +124,7 @@ class TestCompare:
 
 
 class TestDeprecationShims:
-    def test_streaming_disthd_still_importable(self, small_problem):
-        from repro.deploy.streaming import (
-            StreamingDistHD,
-            _reset_deprecation_warning,
-        )
-
-        train_x, train_y, test_x, test_y = small_problem
-        # The deprecation is announced once per process; re-arm it so this
-        # test is order-independent.
-        _reset_deprecation_warning()
-        with pytest.warns(DeprecationWarning, match="partial_fit"):
-            model = StreamingDistHD(train_x.shape[1], 3, reservoir_size=64)
-        model.partial_fit(train_x[:64], train_y[:64])
-        assert model.n_batches_ == 1
-        assert model.predict(test_x).shape == (test_x.shape[0],)
-
     def test_direct_classifier_imports_still_resolve(self):
         from repro.baselines import OnlineHDClassifier  # noqa: F401
         from repro.core.disthd import DistHDClassifier  # noqa: F401
-        from repro.deploy import QuantizedHDCModel, StreamingDistHD  # noqa: F401
+        from repro.deploy import QuantizedHDCModel  # noqa: F401

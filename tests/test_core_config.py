@@ -42,6 +42,8 @@ class TestValidation:
             ({"selection": "bogus"}, "selection"),
             ({"convergence_patience": 0}, "convergence_patience"),
             ({"convergence_tol": -0.1}, "convergence_tol"),
+            ({"reservoir_size": 0}, "reservoir"),
+            ({"regen_every": 0}, "regen_every"),
         ],
     )
     def test_rejects(self, kwargs, match):

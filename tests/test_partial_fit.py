@@ -128,6 +128,28 @@ class TestParityWithBatch:
         assert model.effective_dim_ == 96 + model.total_regenerated_
         assert model._reservoir_x.shape[0] <= model.config.reservoir_size
 
+    def test_disthd_counts_batches(self, small_problem):
+        """``n_batches_`` / ``n_samples_seen_`` count every batch."""
+        train_x, train_y, _, _ = small_problem
+        model = STREAMERS["disthd"]()
+        batches = list(_batches(train_x, train_y))
+        for count, (xb, yb) in enumerate(batches, start=1):
+            model.partial_fit(xb, yb, classes=[0, 1, 2])
+            assert model.n_batches_ == count
+        assert model.n_samples_seen_ == sum(len(yb) for _, yb in batches)
+
+    def test_disthd_reservoir_bounded(self, small_problem):
+        """The regeneration reservoir never outgrows ``reservoir_size``,
+        even when one batch is larger than it."""
+        train_x, train_y, _, _ = small_problem
+        model = DistHDClassifier(
+            dim=96, seed=0, reservoir_size=20, regen_every=2
+        )
+        for _ in range(3):
+            for xb, yb in _batches(train_x, train_y):
+                model.partial_fit(xb, yb, classes=[0, 1, 2])
+                assert model._reservoir_x.shape[0] <= 20
+
     def test_partial_fit_refines_batch_fitted_model(self, small_problem):
         """fit() then partial_fit() continues training the same model."""
         train_x, train_y, test_x, test_y = small_problem
