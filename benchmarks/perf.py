@@ -4,7 +4,7 @@ Thin wrapper over :mod:`repro.perf` (the importable harness behind the
 ``repro bench`` CLI subcommand) so the benchmarks directory has a direct
 entry point next to the figure suites::
 
-    PYTHONPATH=src python benchmarks/perf.py --output BENCH_pr2.json
+    PYTHONPATH=src python benchmarks/perf.py --output BENCH.json
     PYTHONPATH=src python benchmarks/perf.py --smoke        # CI perf-smoke
 
 See ``docs/performance.md`` for how to read the emitted ``BENCH_*.json``.
@@ -39,7 +39,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--backend", default=None)
     parser.add_argument("--dtype", default=None)
     parser.add_argument("--smoke", action="store_true")
-    parser.add_argument("--no-legacy", action="store_true")
     parser.add_argument("--no-regen-heavy", action="store_true")
     parser.add_argument("--no-sharded", action="store_true")
     parser.add_argument("--no-serving", action="store_true")
@@ -60,7 +59,6 @@ def main(argv=None) -> int:
         backend=args.backend,
         dtype=args.dtype,
         smoke=args.smoke,
-        include_legacy=not args.no_legacy,
         include_regen_heavy=not args.no_regen_heavy,
         include_sharded=not args.no_sharded,
         include_serving=not args.no_serving,

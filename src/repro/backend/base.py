@@ -226,6 +226,7 @@ class ArrayBackend(abc.ABC):
         memory: Any,
         eps: float = 1e-12,
         memory_norms: Any = None,
+        query_norms: Any = None,
     ) -> Any:
         """``(n, k)`` cosine similarity with the zero-vector → 0 convention.
 
@@ -233,12 +234,19 @@ class ArrayBackend(abc.ABC):
         of ``memory`` (native array), letting callers with a stable class
         bank — :class:`~repro.hdc.memory.AssociativeMemory` caches them per
         mutation version — skip the per-call ``O(kD)`` norm recompute.
+        ``query_norms`` likewise supplies the ``(n,)`` row norms of
+        ``queries``, which a training loop computes once per version of its
+        cached encoding instead of an ``O(nD)`` recompute per call.
 
         Default implementation composes :meth:`matmul` and :meth:`norm`;
         backends may override with a fused kernel.
         """
         scores = self.matmul(queries, self.transpose(memory))
-        q_norm = self.norm(queries, axis=1, keepdims=True)  # (n, 1)
+        q_norm = (  # (n, 1)
+            query_norms.reshape(-1, 1)
+            if query_norms is not None
+            else self.norm(queries, axis=1, keepdims=True)
+        )
         m_norm = (
             memory_norms
             if memory_norms is not None
@@ -521,16 +529,20 @@ class ArrayBackend(abc.ABC):
         memory: Any,
         metric: str = "cosine",
         memory_norms: Any = None,
+        query_norms: Any = None,
     ) -> Any:
         """Backend-native similarity matrix, converted to float64 NumPy.
 
         The float64 is the *container* dtype: values are computed at the
         operands' native dtype, so float32 operands give float32-precision
-        scores in a float64 array (see ``docs/performance.md``).
+        scores in a float64 array (see ``docs/performance.md``).  The norm
+        arguments feed :meth:`cosine_similarity`; the dot metric ignores
+        them.
         """
         if metric == "cosine":
             out = self.cosine_similarity(queries, memory,
-                                         memory_norms=memory_norms)
+                                         memory_norms=memory_norms,
+                                         query_norms=query_norms)
         else:
             out = self.matmul(queries, self.transpose(memory))
         return self.to_numpy(out).astype(np.float64, copy=False)

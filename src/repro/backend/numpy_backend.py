@@ -6,9 +6,44 @@ from typing import Any, Optional
 
 import numpy as np
 
-from repro.backend.base import ArrayBackend
+from repro.backend.base import _CHUNK_ELEMENTS, ArrayBackend
 
 _EPS = 1e-12
+
+
+def _row_norms(x: Any, keepdims: bool = False) -> Any:
+    """``np.linalg.norm(x, axis=1, keepdims=keepdims)`` of a 2-D ``x``, bit
+    for bit, without its ``(n, D)`` squared temporary.
+
+    ``linalg.norm`` squares into a temporary laid out like ``x``, then
+    reduces each row.  When rows are the outer axis (row stride at least
+    the column stride: C-contiguous arrays and their row or column slices)
+    each row reduces as one contiguous pairwise sum.  The kernel repeats
+    that sum on row windows of ``_CHUNK_ELEMENTS`` entries (64 rows at
+    D=4096, at least one row) squared into one reused, cache-resident
+    buffer, and takes the square root in place: ~2.5x faster on a
+    (2805, 4096) float32 training encoding (2-core Xeon VM).  A
+    Fortran-ordered temporary reduces column by column and rounds
+    differently, so other layouts, and dtypes other than float32/float64,
+    fall back to ``linalg.norm``.
+    """
+    if not (
+        type(x) is np.ndarray
+        and x.dtype in (np.float32, np.float64)
+        and abs(x.strides[1]) <= abs(x.strides[0])
+    ):
+        return np.linalg.norm(x, axis=1, keepdims=keepdims)
+    n, dim = x.shape
+    out = np.empty(n, dtype=x.dtype)
+    rows = max(1, _CHUNK_ELEMENTS // max(dim, 1))
+    window = np.empty((min(rows, n), dim), dtype=x.dtype)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        squares = window[: stop - start]
+        np.multiply(x[start:stop], x[start:stop], out=squares)
+        np.add.reduce(squares, axis=1, out=out[start:stop])
+    np.sqrt(out, out=out)
+    return out.reshape(n, 1) if keepdims else out
 
 
 class NumpyBackend(ArrayBackend):
@@ -53,6 +88,8 @@ class NumpyBackend(ArrayBackend):
         axis: Optional[int] = None,
         keepdims: bool = False,
     ) -> Any:
+        if axis in (1, -1) and np.ndim(x) == 2:
+            return _row_norms(x, keepdims)
         return np.linalg.norm(x, axis=axis, keepdims=keepdims)
 
     def cos(self, x: Any) -> Any:
@@ -106,13 +143,18 @@ class NumpyBackend(ArrayBackend):
         memory: Any,
         eps: float = _EPS,
         memory_norms: Any = None,
+        query_norms: Any = None,
     ) -> Any:
         scores = queries @ memory.T
-        q_norm = np.linalg.norm(queries, axis=1)
+        q_norm = (
+            np.asarray(query_norms).reshape(-1)
+            if query_norms is not None
+            else self.norm(queries, axis=1)
+        )
         m_norm = (
             np.asarray(memory_norms).reshape(-1)
             if memory_norms is not None
-            else np.linalg.norm(memory, axis=1)
+            else self.norm(memory, axis=1)
         )
         denom = np.outer(q_norm, m_norm)
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -379,7 +421,7 @@ class NumpyBackend(ArrayBackend):
         if normalization == "none":
             return
         if normalization == "l2":
-            norms = np.linalg.norm(out, axis=1, keepdims=True)
+            norms = _row_norms(out, keepdims=True)
         elif normalization == "l1":
             norms = np.sum(np.abs(out), axis=1, keepdims=True)
         elif normalization == "minmax":

@@ -147,6 +147,9 @@ class NeuralHDClassifier(BaseClassifier):
         shuffle_rng = as_rng(spawn_seed(rng))
 
         encoded = self.encoder_.encode(X)
+        # Row norms of the encoding, recomputed only when a regeneration
+        # rewrites its columns.
+        norms = self.backend.norm(encoded, axis=1)
         if init_memory is not None:
             self.memory_.set_vectors(init_memory)
         elif self.single_pass_init:
@@ -154,10 +157,14 @@ class NeuralHDClassifier(BaseClassifier):
         n_regen = int(round(self.regen_rate * self.dim))
 
         def step(context: IterationContext) -> IterationRecord:
+            nonlocal norms
             adaptive_fit_iteration(
-                self.memory_, encoded, y, lr=self.lr, shuffle_rng=shuffle_rng
+                self.memory_, encoded, y, lr=self.lr, shuffle_rng=shuffle_rng,
+                query_norms=norms,
             )
-            train_acc = float(np.mean(self.memory_.predict(encoded) == y))
+            train_acc = float(np.mean(
+                self.memory_.predict(encoded, query_norms=norms) == y
+            ))
 
             regenerated = 0
             if n_regen > 0 and not context.is_last and not context.converged:
@@ -167,6 +174,7 @@ class NeuralHDClassifier(BaseClassifier):
                 self.memory_.reset_dimensions(dims)
                 fresh = self.encoder_.encode_dims(X, dims)
                 self.backend.set_columns(encoded, dims, fresh)
+                norms = self.backend.norm(encoded, axis=1)
                 if self.rebundle_on_regen:
                     self.memory_.bundle_columns(y, dims, fresh)
                 regenerated = dims.size

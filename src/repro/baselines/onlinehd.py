@@ -114,6 +114,8 @@ class OnlineHDClassifier(BaseClassifier):
         shuffle_rng = as_rng(spawn_seed(rng))
 
         encoded = self.encoder_.encode(X)
+        # A static encoder never changes the encoding: one set of row norms.
+        norms = self.backend.norm(encoded, axis=1)
         if init_memory is not None:
             self.memory_.set_vectors(init_memory)
         elif self.single_pass_init:
@@ -127,8 +129,11 @@ class OnlineHDClassifier(BaseClassifier):
                 lr=self.lr,
                 batch_size=self.batch_size,
                 shuffle_rng=shuffle_rng,
+                query_norms=norms,
             )
-            train_acc = float(np.mean(self.memory_.predict(encoded) == y))
+            train_acc = float(np.mean(
+                self.memory_.predict(encoded, query_norms=norms) == y
+            ))
             return IterationRecord(
                 iteration=context.iteration, train_accuracy=train_acc
             )

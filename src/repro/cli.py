@@ -286,7 +286,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         backend=args.backend,
         dtype=args.dtype,
         smoke=args.smoke,
-        include_legacy=not args.no_legacy,
         include_regen_heavy=not args.no_regen_heavy,
         include_sharded=not args.no_sharded,
         include_serving=not args.no_serving,
@@ -786,12 +785,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="tiny CI-sized run (small dim/scale, one repeat)",
     )
     bench.add_argument(
-        "--no-legacy", action="store_true",
-        help="skip the pre-backend float64 reference timing",
-    )
-    bench.add_argument(
         "--no-regen-heavy", action="store_true",
-        help="skip the regeneration-heavy fused-vs-PR2 scenario",
+        help="skip the regeneration-heavy fit scenario",
     )
     bench.add_argument(
         "--no-sharded", action="store_true",

@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.hdc.memory import AssociativeMemory
+from repro.hdc.memory import AssociativeMemory, check_query_norms
 
 
 def adaptive_update_sample(
@@ -63,6 +63,7 @@ def adaptive_fit_iteration(
     lr: float = 0.05,
     batch_size: Optional[int] = None,
     shuffle_rng: Optional[np.random.Generator] = None,
+    query_norms=None,
 ) -> float:
     """Run one adaptive-learning pass over ``encoded`` data.
 
@@ -83,6 +84,10 @@ def adaptive_fit_iteration(
         grouped scatter-add.  ``None`` processes the full set as one batch.
     shuffle_rng:
         Optional generator used to shuffle sample order each pass.
+    query_norms:
+        Optional ``(n,)`` row norms of ``encoded``, computed once per
+        version of a cached encoding; each mini-batch takes its rows'
+        norms from it instead of recomputing them.
 
     Returns
     -------
@@ -101,6 +106,7 @@ def adaptive_fit_iteration(
     if lr <= 0:
         raise ValueError(f"lr must be positive, got {lr}")
     n = H.shape[0]
+    check_query_norms(query_norms, n)
     size = n if batch_size is None else min(int(batch_size), n)
     if size <= 0:
         raise ValueError(f"batch_size must be positive, got {batch_size}")
@@ -117,14 +123,20 @@ def adaptive_fit_iteration(
     n_correct = 0
     for start in range(0, n, size):
         stop = min(start + size, n)
+        batch_norms = None
         if shuffled:
             idx = order[start:stop]
             batch = b.take_rows(H, idx)
             batch_labels = labels[idx]
+            if query_norms is not None:
+                batch_norms = b.take_rows(query_norms, idx)
         else:
             batch = b.slice_rows(H, start, stop)
             batch_labels = labels[start:stop]
-        sims = memory.similarities(batch)  # (b, k) against model at batch start
+            if query_norms is not None:
+                batch_norms = b.slice_rows(query_norms, start, stop)
+        # (b, k) against the model at batch start
+        sims = memory.similarities(batch, query_norms=batch_norms)
         predicted = np.argmax(sims, axis=1)
         wrong = np.flatnonzero(predicted != batch_labels)
         n_correct += (stop - start) - wrong.size

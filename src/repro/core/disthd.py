@@ -121,12 +121,17 @@ class DistHDClassifier(BaseClassifier):
         shuffle_rng = as_rng(spawn_seed(rng))
 
         encoded = self.encoder_.encode(X)
+        # Both passes of every iteration score this encoding, so its row
+        # norms are computed once per version of it: here, and after each
+        # regeneration rewrites columns.
+        norms = backend.norm(encoded, axis=1)
         if init_memory is not None:
             self.memory_.set_vectors(init_memory)
         elif cfg.single_pass_init:
             self.memory_.accumulate(encoded, y)
 
         def step(context: IterationContext) -> IterationRecord:
+            nonlocal norms
             adaptive_fit_iteration(
                 self.memory_,
                 encoded,
@@ -134,9 +139,11 @@ class DistHDClassifier(BaseClassifier):
                 lr=cfg.lr,
                 batch_size=cfg.batch_size,
                 shuffle_rng=shuffle_rng,
+                query_norms=norms,
             )
             partition = partition_outcomes(
-                self.memory_, encoded, y, chunk_size=cfg.chunk_size
+                self.memory_, encoded, y, chunk_size=cfg.chunk_size,
+                query_norms=norms,
             )
             train_acc = partition.correct.size / max(partition.n_samples, 1)
             rates = partition.rates()
@@ -151,6 +158,7 @@ class DistHDClassifier(BaseClassifier):
                     # Refresh only the redrawn columns of the cached encoding.
                     fresh = self.encoder_.encode_dims(X, report.dims)
                     backend.set_columns(encoded, report.dims, fresh)
+                    norms = backend.norm(encoded, axis=1)
                     if cfg.rebundle_on_regen:
                         # Re-bundle the fresh columns so the regenerated
                         # dimensions start trained instead of at zero.

@@ -26,15 +26,19 @@ def top2_labels(
     encoded: np.ndarray,
     *,
     chunk_size: Optional[int] = None,
+    query_norms=None,
 ) -> np.ndarray:
     """``(n, 2)`` array of each sample's two most-similar class labels.
 
     ``chunk_size`` streams the similarity computation in row windows so
-    peak intermediate memory stays bounded at arbitrary batch sizes.
+    peak intermediate memory stays bounded at arbitrary batch sizes;
+    ``query_norms`` are ``encoded``'s precomputed ``(n,)`` row norms.
     """
     if memory.n_classes < 2:
         raise ValueError("top-2 classification requires at least 2 classes")
-    labels, _ = memory.topk(encoded, k=2, chunk_size=chunk_size)
+    labels, _ = memory.topk(
+        encoded, k=2, chunk_size=chunk_size, query_norms=query_norms
+    )
     return labels
 
 
@@ -81,10 +85,13 @@ def partition_outcomes(
     labels: np.ndarray,
     *,
     chunk_size: Optional[int] = None,
+    query_norms=None,
 ) -> OutcomePartition:
     """Partition a training batch by top-2 outcome against ``memory``."""
     labels = np.asarray(labels, dtype=np.int64)
-    pair = top2_labels(memory, encoded, chunk_size=chunk_size)
+    pair = top2_labels(
+        memory, encoded, chunk_size=chunk_size, query_norms=query_norms
+    )
     if pair.shape[0] != labels.shape[0]:
         raise ValueError(
             f"encoded and labels disagree on sample count: "

@@ -32,6 +32,18 @@ Algorithm-2 scoring inside one training iteration — recompute nothing.
 Code that mutates the underlying array *in place* without going through a
 mutator must call :meth:`AssociativeMemory.invalidate_caches`.
 
+The query side follows the same convention, owned by the caller: a
+training loop that scores one cached encoding many times computes its
+``(n,)`` row norms once per *encoding version* (``backend.norm(encoded,
+axis=1)`` at the memory's dtype) and passes them as ``query_norms`` to
+:meth:`~AssociativeMemory.similarities`, :meth:`~AssociativeMemory.predict`
+and :meth:`~AssociativeMemory.topk` (and to the Algorithm-1 pass and the
+top-2 partition).  Anything that rewrites the encoding, such as a
+regeneration's ``set_columns``, starts a new version, and the caller
+recomputes the norms.  They are sliced with each ``chunk_size`` window,
+the scores are bit-identical to a call without them, and a length that
+does not match the queries raises ``ValueError``.
+
 **Locking contract (concurrent use).**  The memory takes no locks; the
 guarantees under one writer (e.g. an online-adaptation ``partial_fit``)
 racing any number of reader threads (``predict`` / ``similarities``) are:
@@ -58,6 +70,15 @@ import numpy as np
 
 from repro.backend import BackendLike, get_backend, resolve_dtype
 from repro.utils.validation import check_matrix
+
+
+def check_query_norms(query_norms: Any, n: int) -> None:
+    """Reject precomputed query norms whose length is not ``n``."""
+    if query_norms is not None and int(query_norms.shape[0]) != n:
+        raise ValueError(
+            f"query_norms has {int(query_norms.shape[0])} entries for "
+            f"{n} queries"
+        )
 
 
 def as_numpy_vectors(memory: Any) -> np.ndarray:
@@ -88,11 +109,6 @@ class AssociativeMemory:
     backend:
         Array backend name or instance (default: NumPy).
     """
-
-    #: Class-level kill switch for the version-stamped norm caches.  The
-    #: perf harness flips this off to time the cache-free (PR 2) reference
-    #: path; leave it on everywhere else.
-    caching_enabled: bool = True
 
     def __init__(
         self,
@@ -160,8 +176,6 @@ class AssociativeMemory:
         value returned from *this* call may still reflect a torn read —
         see the locking contract in the module docstring.)
         """
-        if not type(self).caching_enabled:
-            return compute()
         hit = self._cache.get(key)
         if hit is not None and hit[0] == self._version:
             return hit[1]
@@ -333,6 +347,7 @@ class AssociativeMemory:
         encoded: Any,
         *,
         chunk_size: Optional[int] = None,
+        query_norms: Any = None,
     ) -> np.ndarray:
         """``(n, k)`` similarity scores between queries and classes.
 
@@ -343,6 +358,8 @@ class AssociativeMemory:
         peak intermediate memory is ``O(chunk_size · D)`` regardless of
         batch size; each query row's score depends only on that row, so
         chunking changes results only by BLAS accumulation-order rounding.
+        ``query_norms`` are the queries' precomputed ``(n,)`` row norms
+        (see "Norm caching" in the module docstring).
         """
         H = self.as_encoded(encoded)
         b = self.backend
@@ -352,9 +369,11 @@ class AssociativeMemory:
             H = b.asarray(H, dtype=self.dtype)
         norms = self.class_norms() if self.metric == "cosine" else None
         n = int(H.shape[0])
+        check_query_norms(query_norms, n)
         if chunk_size is None or n <= int(chunk_size):
             return b.similarity_scores(
-                H, self._vectors, metric=self.metric, memory_norms=norms
+                H, self._vectors, metric=self.metric, memory_norms=norms,
+                query_norms=query_norms,
             )
         if chunk_size <= 0:
             raise ValueError(f"chunk_size must be positive, got {chunk_size}")
@@ -367,6 +386,8 @@ class AssociativeMemory:
                 self._vectors,
                 metric=self.metric,
                 memory_norms=norms,
+                query_norms=None if query_norms is None
+                else b.slice_rows(query_norms, start, stop),
             )
         return out
 
@@ -375,10 +396,14 @@ class AssociativeMemory:
         encoded: Any,
         *,
         chunk_size: Optional[int] = None,
+        query_norms: Any = None,
     ) -> np.ndarray:
         """Most-similar class per query (paper inference step F)."""
         return np.argmax(
-            self.similarities(encoded, chunk_size=chunk_size), axis=1
+            self.similarities(
+                encoded, chunk_size=chunk_size, query_norms=query_norms
+            ),
+            axis=1,
         )
 
     def topk(
@@ -387,18 +412,21 @@ class AssociativeMemory:
         k: int = 2,
         *,
         chunk_size: Optional[int] = None,
+        query_norms: Any = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Top-``k`` labels and their scores, most similar first.
 
         Returns ``(labels, scores)`` with shapes ``(n, k)``; selection uses
         an argpartition-style partial sort rather than a full argsort.
-        ``chunk_size`` bounds intermediate memory as in :meth:`similarities`.
+        ``chunk_size`` and ``query_norms`` are as in :meth:`similarities`.
         """
         if not 1 <= k <= self.n_classes:
             raise ValueError(
                 f"k must lie in [1, {self.n_classes}], got {k}"
             )
-        sims = self.similarities(encoded, chunk_size=chunk_size)
+        sims = self.similarities(
+            encoded, chunk_size=chunk_size, query_norms=query_norms
+        )
         return self.backend.topk_desc(sims, k)
 
     def normalized_native(self) -> Any:

@@ -5,20 +5,10 @@ emitting the ``BENCH_*.json`` trajectory the ROADMAP tracks so hot-path
 speedups are measured, not asserted.  Timings are best-of-``repeats``
 wall-clock seconds.
 
-Two historical references keep the trajectory honest:
-
-- the **legacy** (pre-backend, pre-PR2) DistHD path — float64
-  encoder/memory, a float64-coercing copy per similarity call, and the
-  per-sample Python update loop of the original Algorithm-1 implementation
-  (``fit_speedup_vs_legacy``);
-- the **PR 2** path — backend-routed float32 but with dense Algorithm-2
-  distance matrices, no class-norm caching and a full-batch gather per
-  adaptive pass; the regen-heavy scenario times it against the fused
-  kernels (``fit_speedup_vs_pr2``).
-
-The regen-heavy scenario also records peak RSS and the traced allocation
-peak of the fused Algorithm-2 scoring call, evidencing that the fused path
-never materialises an ``(n, D)`` distance temporary.
+The regen-heavy scenario times DistHD at a regeneration-heavy operating
+point and records peak RSS and the traced allocation peak of the fused
+Algorithm-2 scoring call, evidencing that the fused path never
+materialises an ``(n, D)`` distance temporary.
 
 Payload schema 3 adds the **sharded-fit** scenario: single-process ``fit``
 versus data-parallel ``shard_fit`` on the same regen-heavy operating
@@ -79,6 +69,10 @@ one schema-valid flight dump was written and at least one *complete
 retried trace* survived — client → supervisor dispatch/retry → worker
 encode/score spans for a request whose first attempt died with the
 killed worker.
+
+Payload schema 9 drops the replays of earlier training paths (the
+float64 per-sample loop and the cache-free regen-heavy reference); the
+committed ``BENCH_*.json`` files keep their numbers.
 """
 
 from __future__ import annotations
@@ -88,16 +82,13 @@ import platform
 import threading
 import time
 import tracemalloc
-from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-import repro.core.disthd as _disthd_mod
 from repro.backend import get_backend, list_backends
 from repro.datasets.loaders import Dataset, load_dataset
-from repro.hdc.memory import AssociativeMemory
 from repro.models.registry import get_model_spec, make_model
 from repro.version import __version__
 
@@ -123,156 +114,6 @@ def _best_of(fn, repeats: int) -> float:
         fn()
         best = min(best, time.perf_counter() - start)
     return best
-
-
-# --------------------------------------------------------------- legacy ref
-
-
-def _legacy_adaptive_fit_iteration(
-    memory, encoded, labels, *, lr=0.05, batch_size=None, shuffle_rng=None
-):
-    """The pre-backend Algorithm-1 pass: float64 coercion + per-sample loop."""
-    H = np.asarray(encoded, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    n = H.shape[0]
-    size = n if batch_size is None else min(int(batch_size), n)
-    order = np.arange(n)
-    if shuffle_rng is not None:
-        order = shuffle_rng.permutation(n)
-    n_correct = 0
-    for start in range(0, n, size):
-        idx = order[start : start + size]
-        batch = np.array(H[idx], dtype=np.float64)  # the old check_matrix copy
-        batch_labels = labels[idx]
-        sims = memory.similarities(batch)
-        predicted = np.argmax(sims, axis=1)
-        wrong = np.flatnonzero(predicted != batch_labels)
-        n_correct += idx.size - wrong.size
-        for j in wrong:
-            hv = batch[j]
-            lbl = int(batch_labels[j])
-            pred = int(predicted[j])
-            memory.add_to_class(pred, -lr * (1.0 - sims[j, pred]) * hv)
-            memory.add_to_class(lbl, lr * (1.0 - sims[j, lbl]) * hv)
-    return n_correct / n
-
-
-@contextmanager
-def _legacy_adaptive_path():
-    """Swap DistHD's adaptive pass for the pre-PR per-sample loop."""
-    original = _disthd_mod.adaptive_fit_iteration
-    _disthd_mod.adaptive_fit_iteration = _legacy_adaptive_fit_iteration
-    try:
-        yield
-    finally:
-        _disthd_mod.adaptive_fit_iteration = original
-
-
-def bench_legacy_disthd(
-    dataset: Dataset,
-    *,
-    dim: int = DEFAULT_DIM,
-    iterations: int = DEFAULT_ITERATIONS,
-    seed: int = 0,
-    repeats: int = 3,
-) -> Dict[str, float]:
-    """Time the pre-PR float64 DistHD fit (reference for the speedup claim)."""
-    def build():
-        return make_model(
-            "disthd", dim=dim, iterations=iterations,
-            convergence_patience=None, seed=seed, dtype="float64",
-        )
-
-    with _legacy_adaptive_path():
-        fit_s = _best_of(
-            lambda: build().fit(dataset.train_x, dataset.train_y), repeats
-        )
-        model = build().fit(dataset.train_x, dataset.train_y)
-    return {
-        "fit_s": fit_s,
-        "test_acc": float(model.score(dataset.test_x, dataset.test_y)),
-    }
-
-
-# ------------------------------------------------------------ pr2 reference
-
-
-def _pr2_adaptive_fit_iteration(
-    memory, encoded, labels, *, lr=0.05, batch_size=None, shuffle_rng=None
-):
-    """PR 2's Algorithm-1 pass: grouped scatter-adds, but a full index
-    gather (an ``(n, D)`` copy) per pass even for the single-batch case."""
-    b = memory.backend
-    H = memory.as_encoded(encoded)
-    labels = np.asarray(labels, dtype=np.int64)
-    n = H.shape[0]
-    size = n if batch_size is None else min(int(batch_size), n)
-    order = np.arange(n)
-    if shuffle_rng is not None:
-        order = shuffle_rng.permutation(n)
-    n_correct = 0
-    for start in range(0, n, size):
-        idx = order[start : start + size]
-        batch = b.take_rows(H, idx)
-        batch_labels = labels[idx]
-        sims = memory.similarities(batch)
-        predicted = np.argmax(sims, axis=1)
-        wrong = np.flatnonzero(predicted != batch_labels)
-        n_correct += idx.size - wrong.size
-        if wrong.size:
-            wrong_pred = predicted[wrong]
-            wrong_true = batch_labels[wrong]
-            memory.update_misclassified(
-                b.take_rows(batch, wrong),
-                wrong_pred,
-                wrong_true,
-                sims[wrong, wrong_pred],
-                sims[wrong, wrong_true],
-                lr,
-            )
-    return n_correct / n
-
-
-def _pr2_set_columns(self, x, cols, values) -> None:
-    """PR 2's single-pass column scatter (no cache-sized row windows)."""
-    x[:, np.asarray(cols, dtype=np.int64)] = values
-
-
-def _pr2_scatter_add_cells(self, target, rows, cols, values) -> None:
-    """PR 2's per-cell ``ufunc.at`` scatter-add (no one-hot grouping)."""
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    np.add.at(
-        target,
-        (rows[:, None], cols[None, :]),
-        np.asarray(values, dtype=target.dtype),
-    )
-
-
-@contextmanager
-def _pr2_reference_path():
-    """Swap in PR 2's hot-loop behaviour, end to end: no norm caches (every
-    ``similarities``/``normalized`` call recomputes), the gathering adaptive
-    pass, the single-pass column scatter and per-cell re-bundle scatter-add,
-    and — via ``fused_regen=False`` on the model config — dense Algorithm-2
-    distance matrices."""
-    from repro.backend.numpy_backend import NumpyBackend
-
-    original = _disthd_mod.adaptive_fit_iteration
-    prev_caching = AssociativeMemory.caching_enabled
-    prev_set_columns = NumpyBackend.set_columns
-    prev_scatter_cells = NumpyBackend.scatter_add_cells
-    _disthd_mod.adaptive_fit_iteration = _pr2_adaptive_fit_iteration
-    AssociativeMemory.caching_enabled = False
-    NumpyBackend.set_columns = _pr2_set_columns
-    NumpyBackend.scatter_add_cells = _pr2_scatter_add_cells
-    try:
-        yield
-    finally:
-        _disthd_mod.adaptive_fit_iteration = original
-        AssociativeMemory.caching_enabled = prev_caching
-        NumpyBackend.set_columns = prev_set_columns
-        NumpyBackend.scatter_add_cells = prev_scatter_cells
 
 
 def _peak_rss_mb() -> Optional[float]:
@@ -307,35 +148,24 @@ def bench_regen_heavy(
     seed: int = 0,
     repeats: int = 3,
 ) -> Dict[str, object]:
-    """Time DistHD on the regeneration-heavy scenario, fused vs PR 2.
+    """Time DistHD on the regeneration-heavy scenario.
 
-    Both paths run at the same seed and hyper-parameters; the record keeps
-    both test accuracies so a speedup that silently costs quality is
-    visible.  Also measures the traced allocation peak of one fused
-    Algorithm-2 scoring call next to the bytes a single dense ``(n, D)``
-    distance matrix would need.
+    Also measures the traced allocation peak of one fused Algorithm-2
+    scoring call next to the bytes a single dense ``(n, D)`` distance
+    matrix would need.
     """
     data = load_dataset(dataset, scale=scale, seed=seed)
 
-    def build(fused: bool):
+    def build():
         return make_model(
             "disthd", dim=dim, iterations=iterations, seed=seed,
             regen_rate=regen_rate, selection=selection,
-            convergence_patience=None, fused_regen=fused,
+            convergence_patience=None,
         )
 
-    fit_s = _best_of(
-        lambda: build(True).fit(data.train_x, data.train_y), repeats
-    )
-    model = build(True).fit(data.train_x, data.train_y)
+    fit_s = _best_of(lambda: build().fit(data.train_x, data.train_y), repeats)
+    model = build().fit(data.train_x, data.train_y)
     test_acc = float(model.score(data.test_x, data.test_y))
-
-    with _pr2_reference_path():
-        pr2_fit_s = _best_of(
-            lambda: build(False).fit(data.train_x, data.train_y), repeats
-        )
-        pr2_model = build(False).fit(data.train_x, data.train_y)
-        pr2_acc = float(pr2_model.score(data.test_x, data.test_y))
 
     scoring = _measure_fused_scoring_peak(model, data)
     record: Dict[str, object] = {
@@ -350,8 +180,6 @@ def bench_regen_heavy(
         "seed": seed,
         "fit_s": fit_s,
         "test_acc": test_acc,
-        "pr2_reference": {"fit_s": pr2_fit_s, "test_acc": pr2_acc},
-        "fit_speedup_vs_pr2": pr2_fit_s / fit_s if fit_s > 0 else None,
         "total_regenerated": int(model.encoder_.regenerated_count),
         "fused_scoring": scoring,
     }
@@ -1601,7 +1429,6 @@ def run_bench(
     backend: Optional[str] = None,
     dtype: Optional[str] = None,
     smoke: bool = False,
-    include_legacy: bool = True,
     include_regen_heavy: bool = True,
     include_sharded: bool = True,
     include_serving: bool = True,
@@ -1613,8 +1440,8 @@ def run_bench(
     """Run the full bench sweep and return the ``BENCH_*.json`` payload.
 
     ``smoke=True`` shrinks everything (tiny synthetic dataset, one repeat,
-    a miniature regen-heavy scenario, no legacy reference timing loop
-    beyond one run) so CI can exercise the harness in seconds.
+    a miniature regen-heavy scenario) so CI can exercise the harness in
+    seconds.
     """
     if smoke:
         scale, dim, iterations, repeats = 0.02, 64, 3, 1
@@ -1627,7 +1454,7 @@ def run_bench(
         for name in models
     ]
     payload: Dict[str, object] = {
-        "schema": 8,
+        "schema": 9,
         "created_unix": time.time(),
         "repro_version": __version__,
         "python": platform.python_version(),
@@ -1647,17 +1474,6 @@ def run_bench(
         },
         "results": results,
     }
-    if include_legacy and "disthd" in models:
-        legacy = bench_legacy_disthd(
-            data, dim=dim, iterations=iterations, seed=seed, repeats=repeats
-        )
-        payload["disthd_legacy_float64"] = legacy
-        new_fit = next(
-            r["fit_s"] for r in results if r["model"] == "disthd"
-        )
-        payload["fit_speedup_vs_legacy"] = (
-            float(legacy["fit_s"]) / float(new_fit) if new_fit > 0 else None
-        )
     scenarios: Dict[str, object] = {}
     if include_regen_heavy:
         if smoke:
@@ -1758,22 +1574,13 @@ def format_bench_table(payload: Dict[str, object]) -> str:
             f"{row.get('encode_s', float('nan')):>9.4f} "
             f"{row['test_acc']:>9.3f}"
         )
-    speedup = payload.get("fit_speedup_vs_legacy")
-    if speedup is not None:
-        legacy = payload["disthd_legacy_float64"]
-        lines.append(
-            f"disthd legacy float64 fit: {legacy['fit_s']:.4f}s  "
-            f"→ speedup {speedup:.2f}x"
-        )
     scenario = (payload.get("scenarios") or {}).get("regen_heavy")
     if scenario is not None:
-        pr2 = scenario["pr2_reference"]
         lines.append(
             f"regen-heavy ({scenario['dataset']}, D={scenario['dim']}, "
-            f"R={scenario['regen_rate']}): fused {scenario['fit_s']:.4f}s "
-            f"vs PR2 {pr2['fit_s']:.4f}s "
-            f"→ speedup {scenario['fit_speedup_vs_pr2']:.2f}x  "
-            f"(acc {scenario['test_acc']:.3f} / {pr2['test_acc']:.3f})"
+            f"R={scenario['regen_rate']}): fit {scenario['fit_s']:.4f}s  "
+            f"(acc {scenario['test_acc']:.3f}, "
+            f"{scenario['total_regenerated']} dims regenerated)"
         )
         scoring = scenario.get("fused_scoring") or {}
         frac = scoring.get("peak_fraction_of_dense")

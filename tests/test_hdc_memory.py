@@ -189,14 +189,6 @@ class TestNormCaching:
             mem.similarities(H), ref.similarities(H), rtol=1e-6, atol=1e-7
         )
 
-    def test_caching_kill_switch(self):
-        mem, _ = self._fresh()
-        try:
-            AssociativeMemory.caching_enabled = False
-            assert mem.class_norms() is not mem.class_norms()
-        finally:
-            AssociativeMemory.caching_enabled = True
-
 
 class TestScoreDtypeContract:
     """Scores leave as float64 *containers* computed at the storage dtype."""

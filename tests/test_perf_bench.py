@@ -7,7 +7,6 @@ import pytest
 from repro.cli import main
 from repro.datasets.loaders import load_dataset
 from repro.perf import (
-    bench_legacy_disthd,
     bench_model,
     format_bench_table,
     run_bench,
@@ -40,36 +39,15 @@ class TestBenchModel:
         assert record["dtype"] == "float64"
 
 
-class TestLegacyReference:
-    def test_legacy_fit_times_and_scores(self, tiny_dataset):
-        legacy = bench_legacy_disthd(
-            tiny_dataset, dim=32, iterations=2, repeats=1
-        )
-        assert legacy["fit_s"] > 0.0
-        assert 0.0 <= legacy["test_acc"] <= 1.0
-
-    def test_legacy_patch_is_restored(self, tiny_dataset):
-        import repro.core.adaptive as adaptive_mod
-        import repro.core.disthd as disthd_mod
-
-        bench_legacy_disthd(tiny_dataset, dim=16, iterations=2, repeats=1)
-        assert (
-            disthd_mod.adaptive_fit_iteration
-            is adaptive_mod.adaptive_fit_iteration
-        )
-
-
 class TestRunBench:
     def test_smoke_payload(self):
         payload = run_bench(models=("disthd",), smoke=True)
-        assert payload["schema"] == 8
+        assert payload["schema"] == 9
         assert payload["config"]["smoke"] is True
         assert [r["model"] for r in payload["results"]] == ["disthd"]
-        assert "fit_speedup_vs_legacy" in payload
-        assert payload["fit_speedup_vs_legacy"] > 0.0
         scenario = payload["scenarios"]["regen_heavy"]
         assert scenario["fit_s"] > 0.0
-        assert scenario["pr2_reference"]["fit_s"] > 0.0
+        assert scenario["total_regenerated"] > 0
         assert scenario["fused_scoring"]["peak_bytes"] > 0
         sharded = payload["scenarios"]["sharded_fit"]
         assert sharded["single_fit_s"] > 0.0
@@ -114,14 +92,6 @@ class TestRunBench:
         # The payload must be JSON-serialisable as-is.
         json.dumps(payload)
 
-    def test_no_legacy(self):
-        payload = run_bench(
-            models=("onlinehd",), smoke=True, include_legacy=True,
-            include_fleet=False, include_obs=False,
-        )
-        # legacy reference only runs when disthd is in the sweep
-        assert "fit_speedup_vs_legacy" not in payload
-
     def test_no_fleet(self):
         payload = run_bench(
             models=("disthd",), smoke=True, include_fleet=False,
@@ -141,8 +111,7 @@ class TestRunBench:
 
     def test_write_bench(self, tmp_path):
         payload = run_bench(models=("disthd",), smoke=True,
-                            include_legacy=False, include_fleet=False,
-                            include_obs=False)
+                            include_fleet=False, include_obs=False)
         path = write_bench(payload, tmp_path / "bench.json")
         restored = json.loads(path.read_text())
         assert restored["results"][0]["model"] == "disthd"
@@ -431,28 +400,10 @@ class TestRegenHeavyScenario:
             scale=0.002, dim=128, iterations=2, repeats=1
         )
         assert rec["scenario"] == "regen_heavy"
-        assert rec["fit_s"] > 0 and rec["pr2_reference"]["fit_s"] > 0
-        assert rec["fit_speedup_vs_pr2"] > 0
+        assert rec["fit_s"] > 0 and rec["total_regenerated"] > 0
+        assert 0.0 <= rec["test_acc"] <= 1.0
         assert rec["fused_scoring"]["peak_bytes"] > 0
         json.dumps(rec)
-
-    def test_pr2_reference_path_is_restored(self):
-        from repro.backend.numpy_backend import NumpyBackend
-        from repro.hdc.memory import AssociativeMemory
-        from repro.perf import _pr2_reference_path
-        import repro.core.adaptive as adaptive_mod
-        import repro.core.disthd as disthd_mod
-
-        before_set = NumpyBackend.set_columns
-        with _pr2_reference_path():
-            assert AssociativeMemory.caching_enabled is False
-            assert NumpyBackend.set_columns is not before_set
-        assert AssociativeMemory.caching_enabled is True
-        assert NumpyBackend.set_columns is before_set
-        assert (
-            disthd_mod.adaptive_fit_iteration
-            is adaptive_mod.adaptive_fit_iteration
-        )
 
 
 class TestCheckRegression:

@@ -122,11 +122,8 @@ class TestPredictWhileAdaptStress:
             assert stamp <= version, (key, stamp, version)
         # And inference agrees with a cache-free pass.
         scores_cached = model.decision_scores(test_x[:8])
-        try:
-            AssociativeMemory.caching_enabled = False
-            scores_fresh = model.decision_scores(test_x[:8])
-        finally:
-            AssociativeMemory.caching_enabled = True
+        memory.invalidate_caches()
+        scores_fresh = model.decision_scores(test_x[:8])
         np.testing.assert_allclose(scores_cached, scores_fresh)
 
     def test_server_load_with_adaptation_swaps(self, small_problem):
