@@ -82,7 +82,7 @@ MIN_GATED_SECONDS = 5e-3
 
 
 #: Noise floor for serving p95 latency (milliseconds): micro-batched smoke
-#: latencies sit near the max-wait deadline, where jitter dominates ratios.
+#: latencies are a few batch computes long, where jitter dominates ratios.
 MIN_GATED_LATENCY_MS = 5.0
 
 #: Minimum multi-worker throughput scaling the fleet scenario must show

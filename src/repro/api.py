@@ -220,7 +220,6 @@ def serve_model(
     *,
     path=None,
     max_batch_size: int = 64,
-    max_wait_ms: float = 2.0,
     **server_options,
 ):
     """Front a fitted model with a micro-batching :class:`ModelServer`.
@@ -233,15 +232,15 @@ def serve_model(
 
         from repro import serve_model
 
-        with serve_model(path="disthd-v1.npz", max_wait_ms=2.0) as server:
-            labels = server.predict(rows)     # coalesced into batches
+        with serve_model(path="disthd-v1.npz") as server:
+            labels = server.predict(rows)     # batched with queued peers
             server.deploy("disthd-v2.npz")    # atomic hot-swap
             print(server.stats())
 
-    ``max_batch_size`` / ``max_wait_ms`` bound the micro-batching
-    throughput/latency trade-off; remaining keyword options forward to
-    the :class:`~repro.serve.server.ModelServer` constructor.  See
-    ``docs/serving.md``.
+    ``max_batch_size`` caps the rows of one batch (the server batches
+    whatever is queued, without waiting for more); remaining keyword
+    options forward to the :class:`~repro.serve.server.ModelServer`
+    constructor.  See ``docs/serving.md``.
     """
     from repro.serve.server import ModelServer
 
@@ -250,7 +249,6 @@ def serve_model(
     return ModelServer(
         model if model is not None else path,
         max_batch_size=max_batch_size,
-        max_wait_ms=max_wait_ms,
         **server_options,
     )
 

@@ -394,7 +394,6 @@ def _run_serve_session(
         server = ModelServer(
             args.model_path,
             max_batch_size=args.max_batch_size,
-            max_wait_ms=args.max_wait_ms,
             obs=obs,
         )
         with server:
@@ -409,7 +408,6 @@ def _run_serve_session(
                     "requests": args.requests,
                     "concurrency": args.concurrency,
                     "max_batch_size": args.max_batch_size,
-                    "max_wait_ms": args.max_wait_ms,
                 },
                 "load": report.as_record(),
                 "stats": server.stats(),
@@ -424,7 +422,6 @@ def _run_serve_session(
                 "requests": args.requests,
                 "concurrency": args.concurrency,
                 "max_batch_size": args.max_batch_size,
-                "max_wait_ms": args.max_wait_ms,
                 "swap": not args.no_swap,
                 "packed": args.packed,
             },
@@ -438,7 +435,6 @@ def _run_serve_session(
                 n_requests=args.requests,
                 concurrency=args.concurrency,
                 max_batch_size=args.max_batch_size,
-                max_wait_ms=args.max_wait_ms,
                 seed=args.seed,
                 swap=not args.no_swap,
                 encoder=args.encoder or "rbf",
@@ -588,7 +584,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
             with ModelServer(
                 artifact,
                 max_batch_size=args.max_batch_size,
-                max_wait_ms=args.max_wait_ms,
                 obs=obs,
             ) as server:
                 report = run_load(
@@ -861,7 +856,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--concurrency", type=int, default=8, help="closed-loop workers"
     )
     serve.add_argument("--max-batch-size", type=int, default=64)
-    serve.add_argument("--max-wait-ms", type=float, default=2.0)
     serve.add_argument(
         "--packed", action="store_true",
         help="serve the bit-packed artifact (requires --bits 1); "
@@ -943,7 +937,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--concurrency", type=int, default=8, help="closed-loop workers"
     )
     obs.add_argument("--max-batch-size", type=int, default=64)
-    obs.add_argument("--max-wait-ms", type=float, default=2.0)
     obs.add_argument(
         "--trace-sample-rate", type=float, default=1.0,
         dest="trace_sample_rate",

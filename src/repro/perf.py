@@ -269,7 +269,6 @@ SERVING = dict(
     n_requests=2048,
     concurrency=32,
     max_batch_size=64,
-    max_wait_ms=2.0,
 )
 
 
@@ -285,7 +284,6 @@ def bench_serving(
     n_requests: int = SERVING["n_requests"],
     concurrency: int = SERVING["concurrency"],
     max_batch_size: int = SERVING["max_batch_size"],
-    max_wait_ms: float = SERVING["max_wait_ms"],
     seed: int = 0,
     swap: bool = True,
     packed: bool = False,
@@ -356,7 +354,6 @@ def bench_serving(
         "n_requests": n_requests,
         "concurrency": concurrency,
         "max_batch_size": max_batch_size,
-        "max_wait_ms": max_wait_ms,
         "test_acc": float(artifact.score(data.test_x, data.test_y)),
         "direct": direct.as_record(),
     }
@@ -365,7 +362,7 @@ def bench_serving(
     if tracer is not None and not tracer.enabled:
         tracer = None
     with ModelServer(
-        artifact, max_batch_size=max_batch_size, max_wait_ms=max_wait_ms,
+        artifact, max_batch_size=max_batch_size,
         obs=obs,  # type: ignore[arg-type]
     ) as server:
         adapter = None
@@ -451,7 +448,6 @@ PACKED_VS_INT8 = dict(
     n_requests=1024,
     concurrency=16,
     max_batch_size=64,
-    max_wait_ms=2.0,
 )
 
 
@@ -491,7 +487,6 @@ def bench_packed_deploy(
     n_requests: int = PACKED_VS_INT8["n_requests"],
     concurrency: int = PACKED_VS_INT8["concurrency"],
     max_batch_size: int = PACKED_VS_INT8["max_batch_size"],
-    max_wait_ms: float = PACKED_VS_INT8["max_wait_ms"],
     seed: int = 0,
 ) -> Dict[str, object]:
     """Benchmark the bit-packed 1-bit deploy path against int artifacts.
@@ -617,9 +612,7 @@ def bench_packed_deploy(
     serve_artifact = QuantizedHDCModel(
         model, bits=1, packed=True, chunk_size=max_batch_size
     )
-    with ModelServer(
-        serve_artifact, max_batch_size=max_batch_size, max_wait_ms=max_wait_ms
-    ) as server:
+    with ModelServer(serve_artifact, max_batch_size=max_batch_size) as server:
         adapter = OnlineAdapter(
             server, model,
             detector=DriftDetector(window=64, min_samples=32),
@@ -662,7 +655,6 @@ def bench_packed_deploy(
             "n_requests": n_requests,
             "concurrency": concurrency,
             "max_batch_size": max_batch_size,
-            "max_wait_ms": max_wait_ms,
             "batched": batched.as_record(),
             "n_swaps": int(stats["n_swaps"]),
             "n_adaptations": int(adapter.n_adaptations),
@@ -1170,7 +1162,6 @@ OBS_OVERHEAD = dict(
     concurrency=16,
     rows_per_request=8,
     max_batch_size=64,
-    max_wait_ms=2.0,
     fleet_requests=512,
     fleet_concurrency=16,
     n_workers=4,
@@ -1207,7 +1198,6 @@ def bench_obs_overhead(
     concurrency: int = OBS_OVERHEAD["concurrency"],
     rows_per_request: int = OBS_OVERHEAD["rows_per_request"],
     max_batch_size: int = OBS_OVERHEAD["max_batch_size"],
-    max_wait_ms: float = OBS_OVERHEAD["max_wait_ms"],
     fleet_requests: int = OBS_OVERHEAD["fleet_requests"],
     fleet_concurrency: int = OBS_OVERHEAD["fleet_concurrency"],
     n_workers: int = OBS_OVERHEAD["n_workers"],
@@ -1271,7 +1261,7 @@ def bench_obs_overhead(
         gc.collect()
         with ModelServer(
             artifact, max_batch_size=max_batch_size,
-            max_wait_ms=max_wait_ms, obs=obs,  # type: ignore[arg-type]
+            obs=obs,  # type: ignore[arg-type]
         ) as server:
             return run_load(
                 server, data.test_x,
@@ -1406,7 +1396,6 @@ def bench_obs_overhead(
         "concurrency": concurrency,
         "rows_per_request": rows_per_request,
         "max_batch_size": max_batch_size,
-        "max_wait_ms": max_wait_ms,
         "fleet_requests": fleet_requests,
         "fleet_concurrency": fleet_concurrency,
         "n_workers": n_workers,

@@ -3,7 +3,7 @@
 The request-path counterpart of the training engine.  A
 :class:`~repro.serve.server.ModelServer` fronts any fitted model (or a
 persisted archive) behind a :class:`~repro.serve.batcher.MicroBatcher`
-that coalesces concurrent requests into bounded-latency batches, keeps a
+that serves whatever requests are queued as one batch, keeps a
 versioned model pool with atomic hot-swap, and reports request-level
 metrics.  An :class:`~repro.serve.adapter.OnlineAdapter` layers drift
 detection over labeled feedback and promotes ``partial_fit``-adapted,
@@ -14,7 +14,7 @@ Quick start::
     from repro import DistHDClassifier
     from repro.serve import ModelServer, OnlineAdapter
 
-    server = ModelServer(fitted_model, max_batch_size=64, max_wait_ms=2.0)
+    server = ModelServer(fitted_model, max_batch_size=64)
     labels = server.predict(rows)          # micro-batched under the hood
     server.deploy("model-v2.npz")          # atomic hot-swap from disk
     print(server.stats())                  # throughput, p50/p95/p99, swaps

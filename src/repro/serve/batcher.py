@@ -1,30 +1,22 @@
-"""Micro-batching: coalesce concurrent requests into bounded-latency batches.
+"""Micro-batching: serve whatever is queued as one batch.
 
 Single-row inference wastes the library's batched kernels — encoding and
 scoring one query at a time pays the full Python/dispatch overhead per row.
 :class:`MicroBatcher` sits between callers and a batched handler: concurrent
-:meth:`~MicroBatcher.submit` calls enqueue rows, a worker thread coalesces
-them into one ``(n, q)`` batch, runs the handler once, and scatters the
-row-aligned results back to each caller's future.
+:meth:`~MicroBatcher.submit` calls enqueue requests, and a worker thread
+blocks for one request, drains every request already queued behind it (up
+to ``max_batch_size`` rows), hands the drained requests to the handler in
+one call, and resolves each caller's future with its own result.
 
-Two knobs bound the trade-off:
-
-- ``max_batch_size`` — flush as soon as this many rows are pending (the
-  throughput knob: bigger batches amortise dispatch further);
-- ``max_wait_ms`` — flush no later than this after the *oldest* pending
-  request arrived (the latency knob: an isolated request is delayed at
-  most ``max_wait_ms`` plus one handler call).
-
-A third knob, ``idle_flush_ms``, flushes *early* when the arrival stream
-pauses: once no new request has arrived for that long, waiting out the
-rest of the deadline cannot grow the batch (the clients that would fill
-it are themselves waiting on this flush — the closed-loop case), so the
-batch ships immediately.  Under sustained back-to-back arrivals the
-deadline/size limits govern as usual.
+The worker never waits for more requests to arrive.  Under load the queue
+refills while a batch computes, so the next drain finds a batch ready; when
+the queue is empty, waiting could only add latency to the request in hand.
+``max_batch_size`` is the one knob: a batch stops growing once it holds
+that many rows (one multi-row request may overshoot it).
 
 Requests carry a ``kind`` tag (e.g. ``"predict"`` vs ``"scores"``) so one
-batcher can front several batched operations; a flush groups the drained
-requests by kind and runs one handler call per kind present.
+batcher can front several batched operations; a batch may hold several
+kinds, and the handler answers each request according to its own.
 
 Shutdown is loss-free: :meth:`close` stops intake, then the worker drains
 and flushes everything still queued before exiting — no request is ever
@@ -44,14 +36,15 @@ import numpy as np
 from repro.analysis.annotations import make_lock
 from repro.obs.ids import wall_now
 from repro.obs.trace import TraceContext, Tracer, span_record
-from repro.utils.validation import check_positive_float, check_positive_int
+from repro.utils.validation import check_positive_int
 
-#: ``handler(kind, X)``: run one coalesced ``(n, q)`` batch of ``kind``
-#: requests; must return a result array whose first axis aligns with the
-#: rows of ``X``.  With ``pass_context=True`` the handler is called as
-#: ``handler(kind, X, ctx)`` where ``ctx`` is the *lead* trace context of
-#: the batch (the first sampled request's), or ``None``.
-BatchHandler = Callable[..., np.ndarray]
+#: ``handler(requests)``: run one drained batch, given as a list of
+#: ``(kind, rows)`` pairs in submit order; must return one result array
+#: per request whose first axis aligns with that request's rows.  With
+#: ``pass_context=True`` the handler is called as ``handler(requests,
+#: ctx)`` where ``ctx`` is the *lead* trace context of the batch (the
+#: first sampled request's), or ``None``.
+BatchHandler = Callable[..., Sequence[np.ndarray]]
 
 
 class _Request:
@@ -73,27 +66,21 @@ class _Request:
 
 
 class MicroBatcher:
-    """Coalesce concurrent requests into batches for a batched handler.
+    """Serve concurrent requests in batches through a batched handler.
 
     Parameters
     ----------
     handler:
-        ``handler(kind, X)`` — called on the worker thread with one
-        stacked ``(n, q)`` float batch per request kind in a flush.
+        ``handler(requests)`` — called on the worker thread with the
+        drained batch's ``(kind, rows)`` pairs (see :data:`BatchHandler`).
     max_batch_size:
-        Row-count flush threshold.
-    max_wait_ms:
-        Deadline (milliseconds) from the oldest pending request's arrival
-        to its flush.
-    idle_flush_ms:
-        Flush early once no new request has arrived for this long
-        (milliseconds) — see the module docstring.
+        A batch stops growing once it holds at least this many rows.
     on_group_done:
-        Optional callback ``(latencies_s, ok)`` per resolved request
-        group: the end-to-end latencies (seconds, submit order) of every
-        request in the flushed group, and whether the group succeeded.
-        One call per flush — per-request callbacks would put a lock
-        round-trip per request on the batcher thread.
+        Optional callback ``(latencies_s, ok)`` per handler call: the
+        end-to-end latencies (seconds, submit order) of every request in
+        the batch, and whether the batch succeeded.  One call per batch —
+        per-request callbacks would put a lock round-trip per request on
+        the batcher thread.
     on_batch:
         Optional callback ``(n_rows)`` per handler call.
     tracer:
@@ -104,16 +91,15 @@ class MicroBatcher:
         span parented to that batch's lead context.  ``None`` (the
         default) keeps the hot path free of tracing branches.
     pass_context:
-        Call the handler as ``handler(kind, X, ctx)`` with the batch's
-        lead trace context so downstream stages (encode/score, fleet
-        dispatch) can parent their spans to it.
+        Call the handler as ``handler(requests, ctx)`` with the batch's
+        lead trace context so downstream stages (encode/score) can
+        parent their spans to it.
 
     Notes
     -----
     A request may carry several rows (a small client-side batch); its
-    future resolves to the result rows for exactly those rows.  Rows from
-    different requests never mix results — the handler's output is split
-    back along the same offsets the inputs were stacked at.
+    future resolves to the handler's result for exactly those rows.  A
+    handler error fails every request of its batch.
     """
 
     def __init__(
@@ -121,8 +107,6 @@ class MicroBatcher:
         handler: BatchHandler,
         *,
         max_batch_size: int = 64,
-        max_wait_ms: float = 2.0,
-        idle_flush_ms: float = 0.2,
         on_group_done: Optional[Callable[[List[float], bool], None]] = None,
         on_batch: Optional[Callable[[int], None]] = None,
         tracer: Optional[Tracer] = None,
@@ -132,10 +116,6 @@ class MicroBatcher:
         self._tracer = tracer
         self._pass_context = bool(pass_context)
         self.max_batch_size = check_positive_int(max_batch_size, "max_batch_size")
-        self.max_wait_s = check_positive_float(max_wait_ms, "max_wait_ms") / 1e3
-        self.idle_flush_s = (
-            check_positive_float(idle_flush_ms, "idle_flush_ms") / 1e3
-        )
         self._on_group_done = on_group_done
         self._on_batch = on_batch
         self._queue: "queue.Queue[_Request]" = queue.Queue()
@@ -190,94 +170,75 @@ class MicroBatcher:
                 if self._closed.is_set():
                     return
                 continue
-            pending = [first]
+            batch = [first]
             n_rows = first.rows.shape[0]
-            deadline = first.enqueued_at + self.max_wait_s
-            # Coalesce until the size cap, the oldest request's deadline,
-            # or an arrival pause (idle flush).  After close() waiting is
-            # skipped entirely: drain whatever is queued immediately so
-            # shutdown never waits out max_wait_ms.
+            # Take what is already queued, never wait for more.
             while n_rows < self.max_batch_size:
-                remaining = deadline - time.perf_counter()
-                if self._closed.is_set():
-                    remaining = 0.0
                 try:
-                    if remaining <= 0:
-                        nxt = self._queue.get_nowait()
-                    else:
-                        nxt = self._queue.get(
-                            timeout=min(remaining, self.idle_flush_s)
-                        )
+                    request = self._queue.get_nowait()
                 except queue.Empty:
                     break
-                pending.append(nxt)
-                n_rows += nxt.rows.shape[0]
-            self._flush(pending)
+                batch.append(request)
+                n_rows += request.rows.shape[0]
+            self._flush(batch)
 
     def _lead_ctx(
-        self, group: Sequence[_Request]
+        self, batch: Sequence[_Request]
     ) -> Optional[TraceContext]:
-        """The first sampled context in ``group`` — the batch's spans are
+        """The first sampled context in ``batch`` — the batch's spans are
         parented to one representative request (span trees stay trees;
         the batch's row count is recorded as an attribute instead)."""
         if self._tracer is None or not self._tracer.enabled:
             return None
-        for request in group:
+        for request in batch:
             if request.ctx is not None and request.ctx.sampled:
                 return request.ctx
         return None
 
-    def _flush(self, pending: Sequence[_Request]) -> None:
-        by_kind: Dict[str, List[_Request]] = {}
-        for request in pending:
-            by_kind.setdefault(request.kind, []).append(request)
-        for kind, group in by_kind.items():
-            lead_ctx = self._lead_ctx(group)
-            # Everything — stacking included — stays inside the guard: a
-            # width-mismatched pair of requests must fail *those* futures,
-            # not escape _flush and kill the worker (stranding every
-            # pending and future request).
-            try:
-                batch = (
-                    group[0].rows if len(group) == 1
-                    else np.vstack([r.rows for r in group])
+    def _flush(self, batch: Sequence[_Request]) -> None:
+        lead_ctx = self._lead_ctx(batch)
+        requests = [(request.kind, request.rows) for request in batch]
+        n_rows = sum(rows.shape[0] for _, rows in requests)
+        # Everything stays inside the guard: a handler error must fail
+        # this batch's futures, not escape _flush and kill the worker
+        # (stranding every pending and future request).
+        try:
+            if self._on_batch is not None:
+                self._on_batch(n_rows)
+            span = None
+            if lead_ctx is not None:
+                span = self._tracer.start(
+                    "batch", role="server", ctx=lead_ctx,
+                    attrs={"n_rows": n_rows, "n_requests": len(batch)},
                 )
-                if self._on_batch is not None:
-                    self._on_batch(batch.shape[0])
-                span = None
-                if lead_ctx is not None:
-                    span = self._tracer.start(
-                        "batch", role="server", ctx=lead_ctx,
-                        attrs={"kind": kind, "n_rows": int(batch.shape[0]),
-                               "n_requests": len(group)},
-                    )
-                    handler_ctx: Optional[TraceContext] = span.context
-                else:
-                    handler_ctx = None
-                try:
-                    if self._pass_context:
-                        result = np.asarray(
-                            self.handler(kind, batch, handler_ctx)
-                        )
-                    else:
-                        result = np.asarray(self.handler(kind, batch))
-                finally:
-                    if span is not None:
-                        span.end()
-                if result.shape[0] != batch.shape[0]:
-                    raise RuntimeError(
-                        f"handler returned {result.shape[0]} result rows "
-                        f"for a {batch.shape[0]}-row batch"
-                    )
-            except BaseException as exc:  # noqa: BLE001 - forwarded to callers
-                self._resolve(group, None, exc)
+                handler_ctx: Optional[TraceContext] = span.context
             else:
-                self._resolve(group, result, None)
+                handler_ctx = None
+            try:
+                if self._pass_context:
+                    results = self.handler(requests, handler_ctx)
+                else:
+                    results = self.handler(requests)
+            finally:
+                if span is not None:
+                    span.end()
+            if len(results) != len(requests) or any(
+                len(result) != rows.shape[0]
+                for result, (_, rows) in zip(results, requests)
+            ):
+                raise RuntimeError(
+                    "handler result rows do not align with the batch's "
+                    "requests"
+                )
+        except BaseException as exc:  # noqa: BLE001 - forwarded to callers
+            self._resolve(batch, None, exc)
+        else:
+            self._resolve(batch, results, None)
 
     def _resolve(
         self,
-        group: Sequence[_Request],
-        result: Optional[np.ndarray],
+        batch: Sequence[_Request],
+        results: Optional[Sequence[np.ndarray]],
         error: Optional[BaseException],
     ) -> None:
         now = time.perf_counter()
@@ -292,7 +253,7 @@ class MicroBatcher:
         # recording while the clients still sleep keeps the per-batch
         # tracing cost off the serving critical path.
         latencies: List[float] = []
-        for request in group:
+        for request in batch:
             latency = now - request.enqueued_at
             latencies.append(latency)
             if tracing and request.ctx is not None and request.ctx.sampled:
@@ -309,17 +270,15 @@ class MicroBatcher:
         if self._on_group_done is not None:
             self._on_group_done(latencies, error is None)
         if serve_records:
-            # One ingest per resolved group: the tracer takes its ring
+            # One ingest per resolved batch: the tracer takes its ring
             # lock once for the whole batch instead of once per request.
             self._tracer.ingest(serve_records)
-        offset = 0
-        for request in group:
-            stop = offset + request.rows.shape[0]
-            if error is None:
-                request.future.set_result(result[offset:stop])
-            else:
+        if results is None:
+            for request in batch:
                 request.future.set_exception(error)
-            offset = stop
+            return
+        for request, result in zip(batch, results):
+            request.future.set_result(result)
 
     # --------------------------------------------------------------- lifecycle
 
@@ -359,7 +318,4 @@ class MicroBatcher:
         self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"MicroBatcher(max_batch_size={self.max_batch_size}, "
-            f"max_wait_ms={self.max_wait_s * 1e3:g})"
-        )
+        return f"MicroBatcher(max_batch_size={self.max_batch_size})"

@@ -30,8 +30,9 @@ a distinct status so the supervisor can republish from its pristine copy.
 from __future__ import annotations
 
 import json
+import sys
 import zlib
-from multiprocessing import shared_memory
+from multiprocessing import resource_tracker, shared_memory
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -211,21 +212,28 @@ class SharedArtifact:
 
     @classmethod
     def attach(cls, name: str) -> "SharedArtifact":
-        """Map an existing segment (worker side)."""
-        shm = shared_memory.SharedMemory(name=name)
-        # The attaching process must not register the segment with the
-        # resource tracker: the supervisor owns the lifetime, and a
-        # SIGKILLed worker would otherwise leave a stale registration the
-        # tracker "cleans up" by unlinking the live segment under the
-        # surviving workers.
-        try:  # pragma: no cover - depends on private stdlib internals
-            from multiprocessing import resource_tracker
+        """Map an existing segment (worker side).
 
-            resource_tracker.unregister(
-                getattr(shm, "_name", shm.name), "shared_memory"
-            )
-        except Exception:  # noqa: BLE001 - best effort on other platforms
-            pass
+        The mapping stays out of multiprocessing's resource tracker: the
+        supervisor owns the segment's lifetime, and forked workers share
+        the supervisor's tracker.  A worker's register/unregister
+        messages would interleave with other processes' (the tracker
+        then fails a ``remove`` with a ``KeyError`` traceback), and a
+        stale registration left by a SIGKILLed worker would have the
+        tracker unlink the live segment.  Below Python 3.13 the
+        constructor always registers, so the register call is switched
+        off for the duration of the attach; that is safe where no other
+        thread creates shared memory meanwhile, as in a forked worker.
+        """
+        if sys.version_info >= (3, 13):
+            shm = shared_memory.SharedMemory(name=name, track=False)
+        else:
+            register = resource_tracker.register
+            resource_tracker.register = lambda *_: None
+            try:
+                shm = shared_memory.SharedMemory(name=name)
+            finally:
+                resource_tracker.register = register
         length = int.from_bytes(bytes(shm.buf[0:8]), "little")
         header = json.loads(bytes(shm.buf[8:8 + length]).decode())
         return cls(shm, header, owner=False)
@@ -360,19 +368,6 @@ class SharedArtifact:
         if self._unlinked:
             return
         self._unlinked = True
-        # Forked workers share the supervisor's resource tracker, so the
-        # deliberate unregister in :meth:`attach` may have removed this
-        # segment's (shared) tracker entry; re-register before unlinking
-        # so the tracker-side unregister that unlink performs always
-        # finds one (a duplicate register is a set-add no-op).
-        try:  # pragma: no cover - depends on private stdlib internals
-            from multiprocessing import resource_tracker
-
-            resource_tracker.register(
-                getattr(self._shm, "_name", self._shm.name), "shared_memory"
-            )
-        except Exception:  # noqa: BLE001 - best effort on other platforms
-            pass
         try:
             self._shm.unlink()
         except FileNotFoundError:  # pragma: no cover - already gone

@@ -6,9 +6,10 @@
 loaded HDC archives alike) with:
 
 - **micro-batched inference** — concurrent :meth:`~ModelServer.predict` /
-  :meth:`~ModelServer.decision_scores` calls coalesce into bounded-latency
-  batches (see :mod:`repro.serve.batcher`), so the fused, chunked kernels
-  see real batches instead of single rows;
+  :meth:`~ModelServer.decision_scores` calls that queue up behind a
+  running batch are served together as the next batch (see
+  :mod:`repro.serve.batcher`), so the fused, chunked kernels see real
+  batches instead of single rows;
 - **versioned hot-swap** — :meth:`~ModelServer.deploy` loads the next
   model (an object or a :mod:`repro.persistence` archive path), warms it
   with a representative batch, then atomically flips the active pointer.
@@ -20,7 +21,8 @@ loaded HDC archives alike) with:
   artifacts) the cumulative encode-vs-score stage timings via
   :meth:`~ModelServer.stats`.
 
-Each batch is admitted and scored by the serving core
+Requests are admitted at submit time, and each drained batch, whatever
+its mix of request kinds, is scored by one call into the serving core
 (:mod:`repro.serve.core`) that the fleet workers share.
 
 The hot-swap protocol in detail (the invariant later replication work
@@ -39,7 +41,7 @@ import threading
 import time
 from concurrent.futures import Future
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -171,8 +173,8 @@ class ModelServer:
     model:
         The initial fitted model, or a :mod:`repro.persistence` archive
         path (``str`` / ``Path``) to load it from.
-    max_batch_size / max_wait_ms:
-        Micro-batching knobs (see :class:`~repro.serve.batcher.MicroBatcher`).
+    max_batch_size:
+        Row cap of one batch (see :class:`~repro.serve.batcher.MicroBatcher`).
     metrics_window:
         Latency-percentile window (see
         :class:`~repro.serve.metrics.ServerMetrics`).
@@ -195,7 +197,7 @@ class ModelServer:
     >>> rng = np.random.default_rng(0)
     >>> X = rng.normal(size=(64, 6)); y = np.arange(64) % 2
     >>> clf = DistHDClassifier(dim=64, iterations=2, seed=0).fit(X, y)
-    >>> with ModelServer(clf, max_wait_ms=1.0) as server:
+    >>> with ModelServer(clf) as server:
     ...     preds = server.predict(X[:4])
     >>> preds.shape
     (4,)
@@ -210,8 +212,6 @@ class ModelServer:
         model: Any,
         *,
         max_batch_size: int = 64,
-        max_wait_ms: float = 2.0,
-        idle_flush_ms: float = 0.2,
         metrics_window: int = 8192,
         retain_retired: bool = False,
         obs: Optional["Observability"] = None,
@@ -227,8 +227,6 @@ class ModelServer:
         self._batcher = MicroBatcher(
             self._handle,
             max_batch_size=max_batch_size,
-            max_wait_ms=max_wait_ms,
-            idle_flush_ms=idle_flush_ms,
             on_group_done=self._on_group_done,
             on_batch=self.metrics.record_batch,
             tracer=obs.tracer if obs is not None else None,
@@ -247,10 +245,9 @@ class ModelServer:
 
     def _handle(
         self,
-        kind: str,
-        X: np.ndarray,
+        requests: List[Tuple[str, np.ndarray]],
         ctx: Optional[TraceContext] = None,
-    ) -> np.ndarray:
+    ) -> List[np.ndarray]:
         # One coherent version per batch.  A deploy can flip the active
         # pointer (and drain + release the old version) between our read
         # and our registration; _try_enter refuses a released version, in
@@ -260,8 +257,8 @@ class ModelServer:
             if active._try_enter():
                 break
         try:
-            (result,), encode_s, score_s = score_requests(
-                active.model, [(kind, X)]
+            results, encode_s, score_s = score_requests(
+                active.model, requests
             )
         finally:
             active._exit()
@@ -277,7 +274,7 @@ class ModelServer:
                     span_record("score", "server", ctx,
                                 now - score_s, score_s),
                 ])
-        return result
+        return results
 
     def _on_group_done(self, latencies_s: List[float], ok: bool) -> None:
         self.metrics.record_requests(latencies_s)

@@ -371,7 +371,7 @@ class TestPersistenceFormat5:
         cfg = DistHDConfig(dim=128, iterations=3, seed=4, encoder="fastfood-rbf")
         model = DistHDClassifier(cfg).fit(train_x, train_y)
         path = save_model(model, tmp_path / "m.npz")
-        with ModelServer(str(path), max_wait_ms=1.0) as server:
+        with ModelServer(str(path)) as server:
             served = server.predict(test_x[:16])
             assert np.array_equal(served, model.predict(test_x[:16]))
             stats = server.stats()

@@ -41,7 +41,7 @@ class TestModelServerTracing:
         model, test_x = fitted
         obs = Observability(sample_rate=1.0)
         artifact = QuantizedHDCModel(model, bits=8)
-        with ModelServer(artifact, max_wait_ms=1.0, obs=obs) as server:
+        with ModelServer(artifact, obs=obs) as server:
             root = obs.tracer.start("request", role="client")
             prediction = server.submit_predict(
                 test_x[:4], ctx=root.context
@@ -58,7 +58,7 @@ class TestModelServerTracing:
     def test_disabled_sampling_records_nothing(self, fitted):
         model, test_x = fitted
         obs = Observability(sample_rate=0.0)
-        with ModelServer(model, max_wait_ms=1.0, obs=obs) as server:
+        with ModelServer(model, obs=obs) as server:
             span = obs.tracer.start("request", role="client")
             server.submit_predict(test_x[:2], ctx=span.context).result(
                 timeout=10.0
@@ -69,7 +69,7 @@ class TestModelServerTracing:
     def test_close_dumps_flight_once(self, fitted, tmp_path):
         model, test_x = fitted
         obs = Observability(sample_rate=1.0, flight_dir=tmp_path)
-        server = ModelServer(model, max_wait_ms=1.0, obs=obs)
+        server = ModelServer(model, obs=obs)
         try:
             span = obs.tracer.start("request", role="client")
             server.submit_predict(test_x[:2], ctx=span.context).result(

@@ -75,25 +75,25 @@ class TestDriftDetector:
 
 class TestOnlineAdapterRaw:
     def test_requires_partial_fit(self, fitted):
-        with ModelServer(fitted, max_wait_ms=1.0) as server:
+        with ModelServer(fitted) as server:
             with pytest.raises(TypeError, match="partial_fit"):
                 OnlineAdapter(server, object())
 
     def test_rejects_process_executor(self, fitted):
-        with ModelServer(fitted, max_wait_ms=1.0) as server:
+        with ModelServer(fitted) as server:
             with pytest.raises(ValueError, match="in-process"):
                 OnlineAdapter(server, fitted, executor=ProcessExecutor(2))
 
     def test_feedback_shape_mismatch(self, fitted, small_problem):
         _, _, test_x, test_y = small_problem
-        with ModelServer(fitted, max_wait_ms=1.0) as server:
+        with ModelServer(fitted) as server:
             adapter = OnlineAdapter(server, fitted)
             with pytest.raises(ValueError, match="sample count"):
                 adapter.feedback(test_x[:3], test_y[:2])
 
     def test_serving_the_trainee_gets_snapshotted(self, fitted, small_problem):
         _, _, test_x, _ = small_problem
-        with ModelServer(fitted, max_wait_ms=1.0) as server:
+        with ModelServer(fitted) as server:
             assert server.model is fitted
             OnlineAdapter(server, fitted)
             # The adapter must never leave the live trainee in rotation.
@@ -109,7 +109,7 @@ class TestOnlineAdapterRaw:
 
         train_x, train_y, _, _ = small_problem
         served = copy.deepcopy(fitted)
-        with ModelServer(served, max_wait_ms=1.0) as server:
+        with ModelServer(served) as server:
             adapter = OnlineAdapter(server, fitted)
             bogus = np.full(16, 9999)  # outside the fitted class set
             adapter.feedback(train_x[:16], bogus)
@@ -141,7 +141,7 @@ class TestOnlineAdapterRaw:
 
         train_x, train_y, _, _ = small_problem
         served = copy.deepcopy(fitted)
-        with ModelServer(served, max_wait_ms=1.0) as server:
+        with ModelServer(served) as server:
             adapter = OnlineAdapter(server, fitted)
             adapter.feedback(train_x[:48], train_y[:48])
             adapter.adapt_now(wait=True)
@@ -149,7 +149,7 @@ class TestOnlineAdapterRaw:
             assert server.metrics.problem_counts() == {}
 
     def test_single_adaptation_slot(self, fitted):
-        with ModelServer(fitted, max_wait_ms=1.0) as server:
+        with ModelServer(fitted) as server:
             adapter = OnlineAdapter(server, fitted)
             # The slot is test-and-set: a second claimant must lose.
             assert adapter._try_begin() is True
@@ -159,7 +159,7 @@ class TestOnlineAdapterRaw:
             adapter._adapting.clear()
 
     def test_adapt_now_without_feedback(self, fitted):
-        with ModelServer(fitted, max_wait_ms=1.0) as server:
+        with ModelServer(fitted) as server:
             adapter = OnlineAdapter(server, fitted)
             with pytest.raises(RuntimeError, match="no buffered feedback"):
                 adapter.adapt_now()
@@ -169,7 +169,7 @@ class TestOnlineAdapterRaw:
 
         train_x, train_y, test_x, _ = small_problem
         served = copy.deepcopy(fitted)
-        with ModelServer(served, max_wait_ms=1.0) as server:
+        with ModelServer(served) as server:
             adapter = OnlineAdapter(server, fitted)
             adapter.feedback(train_x[:48], train_y[:48])
             adapter.adapt_now(wait=True)
@@ -188,7 +188,7 @@ class TestOnlineAdapterRaw:
         train_x, train_y, test_x, test_y = small_problem
         served = copy.deepcopy(fitted)
         detector = DriftDetector(window=24, min_samples=24, acc_drop=0.3)
-        with ModelServer(served, max_wait_ms=1.0) as server:
+        with ModelServer(served) as server:
             adapter = OnlineAdapter(
                 server, fitted, detector=detector, min_adapt_samples=16
             )
@@ -213,7 +213,7 @@ class TestOnlineAdapterQuantized:
     def test_refresh_promotion_reuses_standby(self, fitted, small_problem):
         train_x, train_y, test_x, _ = small_problem
         artifact = QuantizedHDCModel(fitted, bits=8)
-        with ModelServer(artifact, max_wait_ms=1.0) as server:
+        with ModelServer(artifact) as server:
             adapter = OnlineAdapter(server, fitted)
             assert adapter.bits == 8  # auto-detected from the artifact
             adapter.feedback(train_x[:48], train_y[:48])

@@ -136,7 +136,7 @@ class TestPredictWhileAdaptStress:
         base.fit(train_x, train_y)
         served = copy.deepcopy(base)
 
-        with ModelServer(served, max_batch_size=8, max_wait_ms=1.0) as server:
+        with ModelServer(served, max_batch_size=8) as server:
             adapter = OnlineAdapter(server, base, min_adapt_samples=16)
             adapter.feedback(train_x[:32], train_y[:32])
             errors = []
@@ -179,7 +179,7 @@ class TestPackedHotSwap:
         served = QuantizedHDCModel(base, bits=1, packed=True)
         pristine = served.packed_words.copy()
 
-        with ModelServer(served, max_batch_size=8, max_wait_ms=1.0) as server:
+        with ModelServer(served, max_batch_size=8) as server:
             adapter = OnlineAdapter(server, base, min_adapt_samples=16)
             adapter.feedback(train_x[:32], train_y[:32])
             errors = []

@@ -51,6 +51,22 @@ def _requests(rows, lead):
     return requests
 
 
+class _SpyEstimator:
+    """A servable model that is not a ``StagedModel``: row-wise methods
+    that record the rows each call sees."""
+
+    def __init__(self):
+        self.seen = []
+
+    def predict(self, X):
+        self.seen.append((PREDICT, X))
+        return X.sum(axis=1)
+
+    def decision_scores(self, X):
+        self.seen.append((SCORES, X))
+        return np.stack([X.min(axis=1), X.max(axis=1)], axis=1)
+
+
 def _check_parity(model, rows, lead):
     requests = _requests(rows, lead)
     results, encode_s, score_s = score_requests(model, requests)
@@ -95,10 +111,32 @@ class TestScoreRequests:
             model, _requests(rows, PREDICT)
         )
         assert encode_s is None and score_s is None
-        np.testing.assert_array_equal(results[0], model.predict(rows)[:1])
+        # Each method runs once, on its own kind's rows: 0, 3 and 1, 2, 4.
         np.testing.assert_array_equal(
-            results[1], model.decision_scores(rows)[1:3]
+            results[0], model.predict(rows[[0, 3]])[:1]
         )
+        np.testing.assert_array_equal(
+            results[1], model.decision_scores(rows[[1, 2, 4]])[:2]
+        )
+
+    @pytest.mark.parametrize("lead", [PREDICT, SCORES])
+    def test_other_models_score_each_kind_on_its_own_rows(self, fitted, lead):
+        _, test_x = fitted
+        requests = _requests(test_x[:7], lead)
+        spy = _SpyEstimator()
+        results, _, _ = score_requests(spy, requests)
+        assert sorted(kind for kind, _ in spy.seen) == [PREDICT, SCORES]
+        for kind, X in spy.seen:
+            np.testing.assert_array_equal(
+                X, np.concatenate([b for k, b in requests if k == kind])
+            )
+        direct = _SpyEstimator()
+        for (kind, block), result in zip(requests, results):
+            expected = (
+                direct.predict(block) if kind == PREDICT
+                else direct.decision_scores(block)
+            )
+            np.testing.assert_array_equal(result, expected)
 
     def test_unknown_kind_rejected(self, loaded, fitted):
         _, test_x = fitted
@@ -148,7 +186,7 @@ class TestChunkedArtifactIsTimed:
 
     def test_model_server_reports_stages(self, chunked, fitted):
         _, test_x = fitted
-        with ModelServer(chunked, max_wait_ms=1.0) as server:
+        with ModelServer(chunked) as server:
             np.testing.assert_array_equal(
                 server.predict(test_x[:8], timeout=10.0),
                 chunked.predict(test_x[:8]),

@@ -85,7 +85,7 @@ class TestServerTarget:
         train_x, train_y, test_x, _ = small_problem
         model = DistHDClassifier(dim=64, iterations=3, seed=0)
         model.fit(train_x, train_y)
-        with ModelServer(model, max_wait_ms=1.0) as server:
+        with ModelServer(model) as server:
             report = run_load(
                 server, test_x[:8], n_requests=24, concurrency=4,
                 mode="scores",

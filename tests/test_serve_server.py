@@ -26,7 +26,7 @@ def fitted_v2(small_problem):
 
 @pytest.fixture
 def server(fitted):
-    with ModelServer(fitted, max_batch_size=16, max_wait_ms=2.0) as srv:
+    with ModelServer(fitted, max_batch_size=16) as srv:
         yield srv
 
 
@@ -91,7 +91,7 @@ class TestHotSwap:
         self, fitted, fitted_v2, small_problem
     ):
         _, _, test_x, _ = small_problem
-        with ModelServer(fitted, max_wait_ms=1.0) as server:
+        with ModelServer(fitted) as server:
             server.predict(test_x[:4])  # seed the warm-up row
             version = server.deploy(fitted_v2)
             assert version.version == 2
@@ -108,7 +108,7 @@ class TestHotSwap:
     def test_deploy_from_archive_path(self, fitted, small_problem, tmp_path):
         _, _, test_x, _ = small_problem
         path = save_model(fitted, tmp_path / "v2.npz")
-        with ModelServer(fitted, max_wait_ms=1.0) as server:
+        with ModelServer(fitted) as server:
             version = server.deploy(str(path))
             assert version.source == str(path)
             # The archive loads as an inference-only view of the same state.
@@ -121,7 +121,7 @@ class TestHotSwap:
         other = DistHDClassifier(dim=32, iterations=2, seed=0).fit(
             train_x[:, :5], train_y
         )
-        with ModelServer(fitted, max_wait_ms=1.0) as server:
+        with ModelServer(fitted) as server:
             with pytest.raises(ValueError, match="hot-swap"):
                 server.deploy(other)
             assert server.active_version.version == 1
@@ -137,7 +137,7 @@ class TestHotSwap:
         _, _, test_x, _ = small_problem
         n_requests = 120
         errors = []
-        with ModelServer(fitted, max_batch_size=8, max_wait_ms=1.0) as server:
+        with ModelServer(fitted, max_batch_size=8) as server:
             swapped = threading.Event()
 
             def fire(i):
@@ -166,7 +166,7 @@ class TestHotSwap:
             )
 
     def test_retired_version_drains(self, fitted, fitted_v2):
-        with ModelServer(fitted, max_wait_ms=1.0) as server:
+        with ModelServer(fitted) as server:
             old = server.active_version
             server.deploy(fitted_v2)
             assert server.wait_drained(old, timeout=5.0)
@@ -180,7 +180,7 @@ class TestHotSwap:
         import copy
 
         train_x, train_y, _, _ = small_problem
-        with ModelServer(fitted, max_wait_ms=1.0) as server:
+        with ModelServer(fitted) as server:
             contenders = [copy.deepcopy(fitted) for _ in range(6)]
             threads = [
                 threading.Thread(target=server.deploy, args=(m,))
@@ -220,9 +220,7 @@ class TestHotSwap:
         assert version._try_enter() is False
 
     def test_retain_retired_keeps_model(self, fitted, fitted_v2):
-        with ModelServer(
-            fitted, max_wait_ms=1.0, retain_retired=True
-        ) as server:
+        with ModelServer(fitted, retain_retired=True) as server:
             old = server.active_version
             server.deploy(fitted_v2)
             assert old.model is fitted
@@ -232,7 +230,7 @@ class TestQuantizedArtifact:
     def test_serves_quantized_deploy_artifact(self, fitted, small_problem):
         _, _, test_x, _ = small_problem
         artifact = QuantizedHDCModel(fitted, bits=8)
-        with ModelServer(artifact, max_wait_ms=1.0) as server:
+        with ModelServer(artifact) as server:
             np.testing.assert_array_equal(
                 server.predict(test_x[:20]), artifact.predict(test_x[:20])
             )
@@ -240,7 +238,7 @@ class TestQuantizedArtifact:
 
 class TestLifecycle:
     def test_predict_after_close_raises(self, fitted):
-        server = ModelServer(fitted, max_wait_ms=1.0)
+        server = ModelServer(fitted)
         server.close()
         with pytest.raises(RuntimeError, match="closed"):
             server.predict(np.zeros((1, fitted.n_features_)))
@@ -261,7 +259,7 @@ class TestLifecycle:
 class TestServeModelFacade:
     def test_serve_model_with_object(self, fitted, small_problem):
         _, _, test_x, _ = small_problem
-        with serve_model(fitted, max_wait_ms=1.0) as server:
+        with serve_model(fitted) as server:
             np.testing.assert_array_equal(
                 server.predict(test_x[:8]), fitted.predict(test_x[:8])
             )
@@ -269,7 +267,7 @@ class TestServeModelFacade:
     def test_serve_model_with_path(self, fitted, small_problem, tmp_path):
         _, _, test_x, _ = small_problem
         path = save_model(fitted, tmp_path / "m.npz")
-        with serve_model(path=path, max_wait_ms=1.0) as server:
+        with serve_model(path=path) as server:
             np.testing.assert_array_equal(
                 server.predict(test_x[:8]), fitted.predict(test_x[:8])
             )

@@ -5,6 +5,8 @@ second mapping to stand in for a worker, and exercise the CRC integrity
 and pristine-repair paths without spawning any fleet.
 """
 
+from multiprocessing import resource_tracker
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,49 @@ class TestPublishAttach:
         shared.close()
         shared.unlink()
         shared.unlink()  # second call is a no-op, not an error
+
+
+class TestResourceTracker:
+    """Only the publisher talks to multiprocessing's resource tracker.
+    Forked workers share the supervisor's tracker, so a message from an
+    attaching worker could interleave with another process's."""
+
+    @pytest.fixture
+    def sent(self, monkeypatch):
+        """Every ``(command, name)`` this process sends the tracker."""
+        tracker = resource_tracker._resource_tracker
+        send = tracker._send
+        messages = []
+
+        def spy(cmd, name, rtype):
+            messages.append((cmd, name.lstrip("/")))
+            send(cmd, name, rtype)
+
+        monkeypatch.setattr(tracker, "_send", spy)
+        return messages
+
+    def test_attach_sends_nothing(self, fitted, sent):
+        _, shared, _ = _published(fitted, packed=True)
+        try:
+            del sent[:]
+            attached = SharedArtifact.attach(shared.name)
+            attached.close()
+            assert sent == []
+        finally:
+            shared.close()
+            shared.unlink()
+
+    def test_publish_and_unlink_send_one_register_and_unregister(
+        self, fitted, sent
+    ):
+        _, shared, _ = _published(fitted, packed=True)
+        attached = SharedArtifact.attach(shared.name)
+        attached.close()
+        shared.close()
+        shared.unlink()
+        assert [cmd for cmd, name in sent if name == shared.name] == [
+            "REGISTER", "UNREGISTER",
+        ]
 
 
 class TestIntegrity:

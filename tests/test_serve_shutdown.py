@@ -207,7 +207,8 @@ class TestTeardownRaces:
 
     def test_batcher_close_with_racing_submits(self):
         batcher = MicroBatcher(
-            lambda kind, X: X * 2.0, max_batch_size=8, max_wait_ms=1.0
+            lambda requests: [rows * 2.0 for _, rows in requests],
+            max_batch_size=8,
         )
         futures = []
         rejected = threading.Event()
@@ -237,7 +238,7 @@ class TestTeardownRaces:
 
     def test_double_close_idempotent_across_stack(self, fitted):
         model, _ = fitted
-        batcher = MicroBatcher(lambda kind, X: X)
+        batcher = MicroBatcher(lambda requests: [rows for _, rows in requests])
         batcher.close()
         batcher.close()
         with pytest.raises(RuntimeError, match="closed"):
