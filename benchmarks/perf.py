@@ -36,7 +36,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--iterations", type=int, default=DEFAULT_ITERATIONS)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--backend", default=None)
     parser.add_argument("--dtype", default=None)
     parser.add_argument("--smoke", action="store_true")
     parser.add_argument("--no-regen-heavy", action="store_true")
@@ -56,7 +55,6 @@ def main(argv=None) -> int:
         iterations=args.iterations,
         seed=args.seed,
         repeats=args.repeats,
-        backend=args.backend,
         dtype=args.dtype,
         smoke=args.smoke,
         include_regen_heavy=not args.no_regen_heavy,

@@ -1,14 +1,14 @@
-"""Pluggable array-compute backends (``repro.backend``).
+"""The array-compute seam (``repro.backend``).
 
 The HDC hot paths — encoding, similarity search, adaptive updates,
 regeneration — are written against the small
 :class:`~repro.backend.base.ArrayBackend` protocol instead of NumPy
-directly, so the compute engine is swappable per model::
+directly.  :class:`NumpyBackend` is the one shipped implementation and the
+default; ``backend=`` also takes an ``ArrayBackend`` instance::
 
     from repro import make_model
 
     clf = make_model("disthd", backend="numpy", dtype="float32")  # default
-    clf = make_model("disthd", backend="torch")   # when torch is installed
 
 See ``docs/performance.md`` for backend selection and dtype trade-offs.
 """
@@ -20,22 +20,15 @@ from repro.backend.registry import (
     default_backend,
     get_backend,
     list_backends,
-    register_backend,
-    supports_packed,
 )
-from repro.backend.torch_backend import TorchBackend, torch_is_available
 
 __all__ = [
     "ArrayBackend",
     "BackendLike",
     "auto_chunk_rows",
     "NumpyBackend",
-    "TorchBackend",
     "default_backend",
     "get_backend",
     "list_backends",
-    "register_backend",
     "resolve_dtype",
-    "supports_packed",
-    "torch_is_available",
 ]

@@ -4,16 +4,15 @@ The paper frames DistHD training and inference as "highly parallel
 matrix-wise" operations; everything the hot paths need from an array library
 is collected here as a small abstract interface: matmul, cosine similarity,
 norms, RNG draws, rolls, top-k/argpartition, dtype casts, scatter-adds and
-conversion back to NumPy.  Implementations exist for NumPy (the default,
-:mod:`repro.backend.numpy_backend`) and PyTorch
-(:mod:`repro.backend.torch_backend`, auto-registered when torch imports).
+conversion back to NumPy.  :mod:`repro.backend.numpy_backend` is the one
+shipped implementation; ``backend=`` also takes a caller's own instance.
 
-Two conventions keep backends interchangeable:
+Two conventions let a custom instance stand in for the NumPy backend:
 
 - **RNG draws go through NumPy.**  Every stochastic draw takes a
   :class:`numpy.random.Generator` and materialises the values with NumPy
   before converting to the backend's native array type, so a model built at
-  the same seed holds bit-identical parameters under every backend.
+  the same seed holds bit-identical parameters under any backend.
 - **Scores leave as NumPy.**  Heavy ``(n, D)``-shaped math stays native to
   the backend; small ``(n, k)`` similarity/score matrices are converted to
   float64 NumPy at the query boundary so control flow (argmax, partitions,
@@ -70,21 +69,12 @@ class ArrayBackend(abc.ABC):
 
     Subclasses provide the primitive array operations the HDC hot paths are
     written against.  Arrays handled by a backend are *native* arrays
-    (``np.ndarray`` for NumPy, ``torch.Tensor`` for torch); use
-    :meth:`asarray` / :meth:`to_numpy` to cross the boundary.
+    (``np.ndarray`` for NumPy); use :meth:`asarray` / :meth:`to_numpy` to
+    cross the boundary.
     """
 
-    #: Registry name (``"numpy"``, ``"torch"``); set by subclasses.
+    #: Backend name (``"numpy"``); set by subclasses.
     name: str = "abstract"
-
-    #: Whether the backend provides the packed binary kernels
-    #: (:meth:`packbits_rows` / :meth:`hamming_scores_packed`).  The base
-    #: class ships a generic implementation through NumPy, so every
-    #: backend supports packing; a subclass replacing the generic path
-    #: with something partial may set this ``False`` and callers (see
-    #: :func:`repro.backend.registry.supports_packed`) will fall back to
-    #: unpacked scoring.
-    supports_packed: bool = True
 
     # ------------------------------------------------------------ conversion
 
@@ -110,15 +100,11 @@ class ArrayBackend(abc.ABC):
     def zeros(self, shape: Any, dtype: Any = np.float64) -> Any:
         """A zero-filled native array."""
 
+    @abc.abstractmethod
     def empty(self, shape: Any, dtype: Any = np.float64) -> Any:
         """An *uninitialised* native array — for outputs every element of
         which the caller overwrites (chunked encode windows, block-stacked
-        encoder outputs), where :meth:`zeros`'s fill is pure waste.
-
-        The base implementation falls back to :meth:`zeros` so subclasses
-        only override when the engine has a real uninitialised constructor.
-        """
-        return self.zeros(shape, dtype=dtype)
+        encoder outputs), where :meth:`zeros`'s fill is pure waste."""
 
     @abc.abstractmethod
     def copy(self, x: Any) -> Any:
@@ -192,25 +178,23 @@ class ArrayBackend(abc.ABC):
     def abs(self, x: Any) -> Any:
         """Element-wise absolute value."""
 
+    @abc.abstractmethod
     def amin(
         self,
         x: Any,
         axis: Optional[int] = None,
         keepdims: bool = False,
     ) -> Any:
-        """Minimum along ``axis``.  Default round-trips through NumPy;
-        backends override with the engine's native reduction."""
-        return np.min(self.to_numpy(x), axis=axis, keepdims=keepdims)
+        """Minimum along ``axis``."""
 
+    @abc.abstractmethod
     def amax(
         self,
         x: Any,
         axis: Optional[int] = None,
         keepdims: bool = False,
     ) -> Any:
-        """Maximum along ``axis``.  Default round-trips through NumPy;
-        backends override with the engine's native reduction."""
-        return np.max(self.to_numpy(x), axis=axis, keepdims=keepdims)
+        """Maximum along ``axis``."""
 
     @abc.abstractmethod
     def roll(self, x: Any, shift: int, axis: int = -1) -> Any:
@@ -220,6 +204,7 @@ class ArrayBackend(abc.ABC):
     def einsum(self, subscripts: str, *operands: Any) -> Any:
         """Einstein summation over native arrays."""
 
+    @abc.abstractmethod
     def cosine_similarity(
         self,
         queries: Any,
@@ -237,24 +222,7 @@ class ArrayBackend(abc.ABC):
         ``query_norms`` likewise supplies the ``(n,)`` row norms of
         ``queries``, which a training loop computes once per version of its
         cached encoding instead of an ``O(nD)`` recompute per call.
-
-        Default implementation composes :meth:`matmul` and :meth:`norm`;
-        backends may override with a fused kernel.
         """
-        scores = self.matmul(queries, self.transpose(memory))
-        q_norm = (  # (n, 1)
-            query_norms.reshape(-1, 1)
-            if query_norms is not None
-            else self.norm(queries, axis=1, keepdims=True)
-        )
-        m_norm = (
-            memory_norms
-            if memory_norms is not None
-            else self.norm(memory, axis=1, keepdims=True)  # (k, 1)
-        )
-        denom = self.matmul(q_norm, self.transpose(m_norm))  # (n, k)
-        safe = self.where(denom > eps, denom, self.ones_like(denom))
-        return self.where(denom > eps, scores / safe, self.zeros_like(scores))
 
     @abc.abstractmethod
     def transpose(self, x: Any) -> Any:
@@ -276,22 +244,17 @@ class ArrayBackend(abc.ABC):
 
     def slice_rows(self, x: Any, start: int, stop: int) -> Any:
         """``x[start:stop]`` — a contiguous row window, as a view when the
-        engine supports views (both NumPy and torch do).  The chunked hot
-        paths prefer this over :meth:`take_rows` with an ``arange``, which
-        would copy."""
+        engine supports views (NumPy does).  The chunked hot paths prefer
+        this over :meth:`take_rows` with an ``arange``, which would copy."""
         return x[start:stop]
 
     @abc.abstractmethod
     def set_rows(self, x: Any, idx: Any, values: Any) -> None:
         """``x[idx] = values`` in place (rows)."""
 
+    @abc.abstractmethod
     def take_columns(self, x: Any, cols: Any) -> Any:
-        """``x[:, cols]`` for an integer index array.
-
-        Default works for any NumPy-style indexable native array; override
-        when the engine needs its own gather.
-        """
-        return x[:, self.asarray(cols, dtype=np.int64)]
+        """``x[:, cols]`` for an integer index array."""
 
     @abc.abstractmethod
     def set_columns(self, x: Any, cols: Any, values: Any) -> None:
@@ -315,15 +278,10 @@ class ArrayBackend(abc.ABC):
     ) -> None:
         """``target[rows[:, None], cols[None, :]] += values`` accumulating."""
 
+    @abc.abstractmethod
     def argpartition_desc(self, x: Any, k: int, axis: int = -1) -> Any:
         """Partition indices putting the ``k`` largest entries first
-        (unordered within the partition).  Default runs on NumPy via
-        :meth:`to_numpy`; override with the engine's partial sort.
-        """
-        s = self.to_numpy(x)
-        if k >= np.shape(s)[axis]:
-            return np.argsort(-s, axis=axis, kind="stable")
-        return np.argpartition(-s, k - 1, axis=axis)
+        (unordered within the partition)."""
 
     def topk_desc(self, scores: Any, k: int) -> Tuple[np.ndarray, np.ndarray]:
         """Top-``k`` indices and values per row, best first, as NumPy arrays.
@@ -442,6 +400,7 @@ class ArrayBackend(abc.ABC):
         safe = self.where(norms > eps, norms, self.ones_like(norms))
         return x / safe
 
+    @abc.abstractmethod
     def fwht_rows(self, x: Any) -> Any:
         """Walsh–Hadamard-transform every row of a native 2-D array.
 
@@ -458,20 +417,11 @@ class ArrayBackend(abc.ABC):
         it — callers must pass a buffer they own and always use the return
         value.  Encoder chains (``H D₃ H D₂ H D₁ x``) rely on this to reuse
         one work buffer across the whole chain.
-
-        Default implementation round-trips through NumPy and the blocked
-        butterfly kernel of :mod:`repro.hdc.fwht`; backends override to
-        stay native.
         """
-        from repro.hdc import fwht as _fwht
-
-        arr = np.array(self.to_numpy(x), copy=True, order="C")  # repro: allow[backend-purity] copy preserves input dtype
-        return self.asarray(
-            _fwht.fwht_rows_inplace(arr), dtype=arr.dtype
-        )
 
     # ------------------------------------------------------- packed binary
 
+    @abc.abstractmethod
     def packbits_rows(self, x: Any) -> np.ndarray:
         """Sign-binarise native rows (``x >= 0`` → bit 1) and bit-pack them.
 
@@ -483,13 +433,7 @@ class ArrayBackend(abc.ABC):
 
         The sign convention matches 1-bit quantization
         (:func:`repro.noise.quantization.quantize`): ``x >= 0`` → bit 1.
-        Default implementation converts to NumPy and packs there;
-        backends override to avoid conversions or shrink device→host
-        traffic.
         """
-        from repro.hdc import packed as _packed
-
-        return _packed.pack_sign_rows(self.to_numpy(x))
 
     def hamming_scores_packed(
         self,
@@ -507,10 +451,10 @@ class ArrayBackend(abc.ABC):
         score is strictly decreasing in Hamming distance.  ``chunk_size``
         bounds the XOR temporary for large query batches.
 
-        Default implementation runs the NumPy kernels of
-        :mod:`repro.hdc.packed` (which select ``np.bitwise_count`` or the
-        lookup-table fallback at import time); backends override with
-        engine-native popcount.
+        This body runs the NumPy kernels of :mod:`repro.hdc.packed` (which
+        select ``np.bitwise_count`` or the lookup-table fallback at import
+        time); :class:`~repro.backend.numpy_backend.NumpyBackend` overrides
+        it with a buffer-reusing kernel that must score bit-identically.
         """
         from repro.hdc import packed as _packed
 

@@ -258,9 +258,8 @@ class NumpyBackend(ArrayBackend):
         return np.argpartition(-np.asarray(x), k - 1, axis=axis)
 
     def fwht_rows(self, x: Any) -> Any:
-        # Tuned over the generic path: transform genuinely in place when the
-        # caller hands a contiguous writable float array (the encoder chains
-        # do), skipping the generic implementation's defensive copy.
+        # Transform genuinely in place when the caller hands a contiguous
+        # writable float array (the encoder chains do); copy anything else.
         from repro.hdc.fwht import fwht_rows_inplace
 
         arr = np.asarray(x)
@@ -278,10 +277,9 @@ class NumpyBackend(ArrayBackend):
     # ------------------------------------------------------- packed binary
 
     def packbits_rows(self, x: Any) -> np.ndarray:
-        # Native rows are already NumPy: skip the to_numpy round-trip and
-        # let packbits consume the boolean sign mask directly (no
-        # intermediate integer copy — this fused pack is what keeps the
-        # packed scorer ahead of the float path on the serving hot path).
+        # packbits consumes the boolean sign mask directly (no intermediate
+        # integer copy — this fused pack is what keeps the packed scorer
+        # ahead of the float path on the serving hot path).
         from repro.hdc.packed import pack_sign_rows
 
         return pack_sign_rows(np.asarray(x))

@@ -1,104 +1,51 @@
-"""Backend registry: resolve compute backends by name.
+"""Backend resolution: turn a ``backend=`` spec into an instance.
 
-Mirrors the model/dataset registries: backends register under a short name
-and everything that accepts ``backend=`` resolves through
-:func:`get_backend`.  The NumPy backend is always present and is the
-default; the torch backend self-registers when torch is importable (CPU
-always, plus ``"torch-cuda"`` when a GPU is visible).
+Everything that accepts ``backend=`` resolves through :func:`get_backend`.
+The library ships one backend, NumPy, and it is the default; a caller
+with its own engine passes an :class:`ArrayBackend` instance, which
+threads through unchanged.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple, Union
+from typing import Tuple, Union
 
 from repro.backend.base import ArrayBackend
 from repro.backend.numpy_backend import NumpyBackend
-from repro.backend.torch_backend import TorchBackend, torch_is_available
 
 BackendLike = Union[None, str, ArrayBackend]
 
-_REGISTRY: Dict[str, ArrayBackend] = {}
-_DEFAULT_NAME = "numpy"
-_BOOTSTRAPPED = False
-
-
-def register_backend(backend: ArrayBackend, *, overwrite: bool = False) -> None:
-    """Register a backend instance under its ``name``."""
-    key = backend.name.strip().lower()
-    if not key:
-        raise ValueError("backend name must be non-empty")
-    if key in _REGISTRY and not overwrite:
-        raise ValueError(
-            f"backend {key!r} is already registered; pass overwrite=True "
-            "to replace it"
-        )
-    _REGISTRY[key] = backend
-
-
-def _bootstrap() -> None:
-    global _BOOTSTRAPPED
-    if _BOOTSTRAPPED:
-        return
-    _BOOTSTRAPPED = True
-    if _DEFAULT_NAME not in _REGISTRY:
-        register_backend(NumpyBackend())
-    if torch_is_available() and "torch" not in _REGISTRY:
-        register_backend(TorchBackend("cpu"))
-        import torch
-
-        if torch.cuda.is_available():  # pragma: no cover - needs a GPU
-            register_backend(TorchBackend("cuda"))
+_NUMPY = NumpyBackend()
 
 
 def get_backend(spec: BackendLike = None) -> ArrayBackend:
     """Resolve a backend spec to an :class:`ArrayBackend` instance.
 
-    ``None`` returns the default (NumPy) backend; a string looks up the
-    registry (case-insensitive); an :class:`ArrayBackend` instance passes
-    through unchanged so callers can thread a custom backend end to end.
+    ``None`` and ``"numpy"`` (case-insensitive) return the shared NumPy
+    backend; an :class:`ArrayBackend` instance passes through unchanged so
+    callers can thread a custom backend end to end.
     """
-    _bootstrap()
     if spec is None:
-        return _REGISTRY[_DEFAULT_NAME]
+        return _NUMPY
     if isinstance(spec, ArrayBackend):
         return spec
     if isinstance(spec, str):
-        key = spec.strip().lower()
-        if key not in _REGISTRY:
+        if spec.strip().lower() != _NUMPY.name:
             raise KeyError(
-                f"unknown backend {spec!r}; available: {sorted(_REGISTRY)}"
-                + (
-                    ""
-                    if torch_is_available()
-                    else " (install torch to enable the torch backend)"
-                )
+                f"unknown backend {spec!r}; available: {list(list_backends())}"
             )
-        return _REGISTRY[key]
+        return _NUMPY
     raise TypeError(
         f"backend must be None, a name, or an ArrayBackend, got "
         f"{type(spec).__name__}"
     )
 
 
-def supports_packed(spec: BackendLike = None) -> bool:
-    """Whether the resolved backend provides the packed binary kernels.
-
-    The capability flag for the bit-packed deploy path: ``True`` when the
-    backend implements :meth:`~repro.backend.base.ArrayBackend.packbits_rows`
-    and :meth:`~repro.backend.base.ArrayBackend.hamming_scores_packed`
-    (every in-tree backend does, via the generic NumPy implementation at
-    minimum).  Callers gate ``packed=True`` artifacts on this instead of
-    probing methods.
-    """
-    return bool(getattr(get_backend(spec), "supports_packed", False))
-
-
 def list_backends() -> Tuple[str, ...]:
-    """Registered backend names (sorted)."""
-    _bootstrap()
-    return tuple(sorted(_REGISTRY))
+    """Backend names :func:`get_backend` resolves."""
+    return (_NUMPY.name,)
 
 
 def default_backend() -> ArrayBackend:
     """The library-wide default backend (NumPy)."""
-    return get_backend(None)
+    return _NUMPY

@@ -283,7 +283,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         iterations=args.iterations,
         seed=args.seed,
         repeats=args.repeats,
-        backend=args.backend,
         dtype=args.dtype,
         smoke=args.smoke,
         include_regen_heavy=not args.no_regen_heavy,
@@ -769,9 +768,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument("--iterations", type=int, default=10)
     bench.add_argument("--repeats", type=int, default=3)
-    bench.add_argument(
-        "--backend", default=None, help="array backend (numpy | torch)"
-    )
     bench.add_argument(
         "--dtype", default=None, help="hot-path dtype (float32 | float64)"
     )

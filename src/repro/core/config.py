@@ -104,9 +104,9 @@ class DistHDConfig:
         ``-1`` uses every visible core.  With more than one worker,
         ``fit`` routes through ``shard_fit`` automatically.
     backend:
-        Array-compute backend for encoder/memory/training hot paths
-        (``"numpy"`` default; ``"torch"`` when PyTorch is installed — see
-        :mod:`repro.backend`).
+        Array-compute backend for encoder/memory/training hot paths:
+        ``"numpy"`` (the default) or an ``ArrayBackend`` instance — see
+        :mod:`repro.backend`.
     dtype:
         Hot-path compute dtype, ``"float32"`` (default) or ``"float64"``.
         Similarity scores and metrics are always produced at float64.

@@ -26,7 +26,7 @@ Two scoring paths produce ``M'``/``N'``:
   streams the computation through the backend's fused
   ``fused_absdiff_colsum`` kernel in cache-sized row chunks — the ``(n, D)``
   distance matrices are never materialised and the arithmetic stays native
-  to the backend (no ``to_numpy`` round trip on torch/CUDA);
+  to the backend;
 - :func:`distance_matrices` + :func:`select_undesired_dimensions` — the
   dense NumPy reference the fused path is property-tested against
   (``tests/test_property_fused.py``).
@@ -197,7 +197,7 @@ def fused_dimension_scores(
     with :func:`distance_matrices`, row-normalising and column-summing —
     but streamed through the backend's ``fused_absdiff_colsum`` kernel in
     cache-sized chunks, so peak extra memory is ``O(chunk · D)`` instead of
-    ``O(n · D)`` and no host round-trip happens on device backends.
+    ``O(n · D)``.
 
     Returns ``(m_scores, n_scores)`` as float64 ``(D,)`` arrays; an outcome
     set with no samples yields ``None`` for its score vector.

@@ -96,8 +96,7 @@ class Encoder(abc.ABC):
 
         NumPy inputs (and anything coercible) get the full ``check_matrix``
         treatment — shape and finiteness — without a dtype-changing copy;
-        non-NumPy backend-native tensors are shape-checked only (a host
-        round-trip per encode would defeat the point of a device backend).
+        native arrays of a custom non-NumPy backend are shape-checked only.
         """
         b = self.backend
         if isinstance(X, np.ndarray) or not b.is_native(X):

@@ -38,8 +38,7 @@ are NumPy-dispatch-bound.  Three properties the encoders rely on:
   work buffer across the whole chain.  Rows are processed in cache-sized
   chunks so a chunk plus its scratch stay resident across all stages.
 
-Backends expose this through :meth:`repro.backend.base.ArrayBackend.fwht_rows`
-(the torch backend overrides with native batched-tensor GEMMs).
+Backends expose this through :meth:`repro.backend.base.ArrayBackend.fwht_rows`.
 """
 
 from __future__ import annotations

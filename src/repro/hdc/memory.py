@@ -434,8 +434,7 @@ class AssociativeMemory:
 
         The fused Algorithm-2 scoring path consumes this directly, so the
         normalisation runs once per training iteration instead of once per
-        ``regenerate_step`` call — and never round-trips through NumPy on
-        device backends.
+        ``regenerate_step`` call.
         """
         from repro.hdc.ops import normalize_rows
 

@@ -3,9 +3,8 @@
 All operations accept either a single hypervector ``(D,)`` or a batch
 ``(n, D)`` and are implemented against the pluggable
 :class:`~repro.backend.base.ArrayBackend` protocol, mirroring the "highly
-parallel matrix-wise" framing of the paper.  Pass ``backend=`` to run on a
-non-default engine (e.g. torch); by default everything runs on vectorised
-NumPy.
+parallel matrix-wise" framing of the paper.  Everything runs on vectorised
+NumPy by default; ``backend=`` takes a custom ``ArrayBackend`` instance.
 
 Dtype policy: operations **preserve** the input dtype instead of silently
 upcasting to float64 — bipolar int8 stays int8 under ``bind``/``permute``,

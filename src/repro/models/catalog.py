@@ -34,7 +34,7 @@ _HDC_DIM = Hyperparam(
 )
 _ITERATIONS = Hyperparam("iterations", 20, (), "max training iterations")
 _BACKEND = Hyperparam(
-    "backend", "numpy", (), "array backend (numpy | torch, see repro.backend)"
+    "backend", "numpy", (), "array backend (numpy, see repro.backend)"
 )
 _DTYPE = Hyperparam(
     "dtype", "float32", (), "hot-path compute dtype (float32 | float64)"

@@ -1091,7 +1091,6 @@ def bench_model(
     iterations: int = DEFAULT_ITERATIONS,
     seed: int = 0,
     repeats: int = 3,
-    backend: Optional[str] = None,
     dtype: Optional[str] = None,
     model_params: Optional[Dict[str, object]] = None,
 ) -> Dict[str, object]:
@@ -1108,10 +1107,9 @@ def bench_model(
         ("iterations", iterations),
         ("seed", seed),
         ("convergence_patience", None),
-        ("backend", backend),
         ("dtype", dtype),
     ):
-        if key in ("backend", "dtype") and value is None:
+        if key == "dtype" and value is None:
             continue
         if key in declared or key in ("convergence_patience",):
             params.setdefault(key, value)
@@ -1415,7 +1413,6 @@ def run_bench(
     iterations: int = DEFAULT_ITERATIONS,
     seed: int = 0,
     repeats: int = 3,
-    backend: Optional[str] = None,
     dtype: Optional[str] = None,
     smoke: bool = False,
     include_regen_heavy: bool = True,
@@ -1438,7 +1435,7 @@ def run_bench(
     results: List[Dict[str, object]] = [
         bench_model(
             name, data, dim=dim, iterations=iterations, seed=seed,
-            repeats=repeats, backend=backend, dtype=dtype,
+            repeats=repeats, dtype=dtype,
         )
         for name in models
     ]
@@ -1458,7 +1455,7 @@ def run_bench(
             "seed": seed,
             "repeats": repeats,
             "smoke": bool(smoke),
-            "backend": backend or get_backend(None).name,
+            "backend": get_backend(None).name,
             "dtype": dtype or "float32",
         },
         "results": results,

@@ -18,9 +18,12 @@ Requests carry a ``kind`` tag (e.g. ``"predict"`` vs ``"scores"``) so one
 batcher can front several batched operations; a batch may hold several
 kinds, and the handler answers each request according to its own.
 
-Shutdown is loss-free: :meth:`close` stops intake, then the worker drains
-and flushes everything still queued before exiting — no request is ever
-dropped with a pending future.
+The idle worker sleeps in a blocking ``get`` and never polls.  Shutdown
+is loss-free: :meth:`close` stops intake and queues a wake-up marker; the
+worker serves everything queued, then exits, and a request that raced
+the shutdown in after the worker's last look is flushed on the
+submitting or closing thread — no request is ever dropped with a
+pending future.
 """
 
 from __future__ import annotations
@@ -45,6 +48,9 @@ from repro.utils.validation import check_positive_int
 #: ctx)`` where ``ctx`` is the *lead* trace context of the batch (the
 #: first sampled request's), or ``None``.
 BatchHandler = Callable[..., Sequence[np.ndarray]]
+
+#: Queued by :meth:`MicroBatcher.close` to wake the blocked worker.
+_WAKE = object()
 
 
 class _Request:
@@ -118,7 +124,7 @@ class MicroBatcher:
         self.max_batch_size = check_positive_int(max_batch_size, "max_batch_size")
         self._on_group_done = on_group_done
         self._on_batch = on_batch
-        self._queue: "queue.Queue[_Request]" = queue.Queue()
+        self._queue: "queue.Queue[Any]" = queue.Queue()
         self._closed = threading.Event()
         self._drain_lock = make_lock("MicroBatcher._drain_lock")
         self._worker = threading.Thread(
@@ -163,13 +169,11 @@ class MicroBatcher:
     # ------------------------------------------------------------------ worker
 
     def _run(self) -> None:
-        while True:
-            try:
-                first = self._queue.get(timeout=0.05)
-            except queue.Empty:
-                if self._closed.is_set():
-                    return
-                continue
+        woken = False
+        while not woken:
+            first = self._queue.get()
+            if first is _WAKE:
+                break
             batch = [first]
             n_rows = first.rows.shape[0]
             # Take what is already queued, never wait for more.
@@ -178,9 +182,15 @@ class MicroBatcher:
                     request = self._queue.get_nowait()
                 except queue.Empty:
                     break
+                if request is _WAKE:
+                    woken = True
+                    break
                 batch.append(request)
                 n_rows += request.rows.shape[0]
             self._flush(batch)
+        # Serve what a submit racing close() queued behind the marker while
+        # this thread was still alive to see it.
+        self._flush_queued()
 
     def _lead_ctx(
         self, batch: Sequence[_Request]
@@ -289,27 +299,34 @@ class MicroBatcher:
     def close(self, timeout: Optional[float] = 5.0) -> None:
         """Stop intake, flush everything still pending, join the worker."""
         self._closed.set()
+        self._queue.put(_WAKE)
         self._worker.join(timeout=timeout)
         # A submit racing the shutdown flag can slip a request into the
-        # queue after the worker's final empty check; flush those inline
-        # so every accepted request resolves.  Only once the worker has
-        # actually exited, though — a worker that outlived the join
-        # timeout still owns the queue, and flushing alongside it would
-        # run the handler on two threads at once.
+        # queue behind the wake-up marker; flush those inline so every
+        # accepted request resolves.  Only once the worker has actually
+        # exited, though — a worker that outlived the join timeout still
+        # owns the queue, and flushing alongside it would run the handler
+        # on two threads at once.
         self._drain_if_worker_dead()
 
     def _drain_if_worker_dead(self) -> None:
         if self._worker.is_alive():
-            return  # the live worker drains the queue before exiting
+            return  # the live worker flushes the queue before exiting
         with self._drain_lock:
-            leftovers: List[_Request] = []
-            while True:
-                try:
-                    leftovers.append(self._queue.get_nowait())
-                except queue.Empty:
-                    break
-            if leftovers:
-                self._flush(leftovers)
+            self._flush_queued()
+
+    def _flush_queued(self) -> None:
+        """Flush every queued request as one batch; drop wake-up markers."""
+        leftovers: List[_Request] = []
+        while True:
+            try:
+                item = self._queue.get_nowait()
+            except queue.Empty:
+                break
+            if item is not _WAKE:
+                leftovers.append(item)
+        if leftovers:
+            self._flush(leftovers)
 
     def __enter__(self) -> "MicroBatcher":
         return self

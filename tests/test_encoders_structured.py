@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.backend import get_backend, torch_is_available
 from repro.hdc.encoders import (
     DEFAULT_ENCODER,
     FastfoodRBFEncoder,
@@ -14,10 +13,6 @@ from repro.hdc.encoders import (
     register_encoder,
 )
 from repro.hdc.fwht import next_pow2
-
-torch_required = pytest.mark.skipif(
-    not torch_is_available(), reason="torch is not installed"
-)
 
 #: Padding / block-stacking edge widths: below, at and above a power of
 #: two, plus the degenerate single-feature case.
@@ -176,34 +171,6 @@ class TestFastfoodRBFEncoder:
         out = FastfoodRBFEncoder(q, 100, seed=0).encode(X)
         assert out.shape == (4, 100)
         assert np.all(np.isfinite(out))
-
-
-class TestChunkedEncodeTorch:
-    @torch_required
-    def test_chunked_encode_parity_on_torch_tensors(self, rng):
-        """Satellite: encode(chunk_size=...) must be bit-identical on the
-        torch backend too (b.empty + set_rows path)."""
-        tb = get_backend("torch")
-        X = tb.asarray(rng.normal(size=(9, 33)).astype(np.float32))
-        for enc in (
-            StructuredProjectionEncoder(33, 80, seed=1, backend=tb),
-            FastfoodRBFEncoder(33, 80, seed=1, backend=tb),
-            RBFEncoder(33, 80, seed=1, backend=tb),
-        ):
-            whole = tb.to_numpy(enc.encode(X))
-            for chunk in (1, 4, 9):
-                chunked = tb.to_numpy(enc.encode(X, chunk_size=chunk))
-                assert np.array_equal(chunked, whole)
-
-    @torch_required
-    def test_structured_torch_matches_numpy(self, rng):
-        tb = get_backend("torch")
-        X = rng.normal(size=(6, 40)).astype(np.float32)
-        cpu = StructuredProjectionEncoder(40, 96, seed=9).encode(X)
-        gpu = StructuredProjectionEncoder(40, 96, seed=9, backend=tb).encode(
-            tb.asarray(X)
-        )
-        assert np.allclose(cpu, tb.to_numpy(gpu), atol=1e-5)
 
 
 class TestRegistry:

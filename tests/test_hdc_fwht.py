@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.backend import get_backend, torch_is_available
+from repro.backend import get_backend
 from repro.hdc.fwht import (
     fwht_rows,
     fwht_rows_inplace,
@@ -11,11 +11,6 @@ from repro.hdc.fwht import (
     is_pow2,
     next_pow2,
 )
-
-torch_required = pytest.mark.skipif(
-    not torch_is_available(), reason="torch is not installed"
-)
-
 
 class TestPow2Helpers:
     def test_is_pow2(self):
@@ -169,11 +164,3 @@ class TestBackendSeam:
         b = get_backend("numpy")
         out = b.empty((3, 5), dtype=np.float32)
         assert out.shape == (3, 5) and out.dtype == np.float32
-
-    @torch_required
-    def test_torch_backend_matches_numpy(self, rng):
-        nb, tb = get_backend("numpy"), get_backend("torch")
-        x = rng.normal(size=(6, 256)).astype(np.float32)
-        expected = nb.fwht_rows(x.copy())
-        out = tb.to_numpy(tb.fwht_rows(tb.asarray(x.copy())))
-        assert np.array_equal(out, expected)

@@ -108,6 +108,51 @@ class TestModelRoundtrip:
         )
 
 
+class TestArchivesFromRetiredBackends:
+    """Archives record ``trained_backend``, and load never reads it: an
+    archive written by a save under a backend this release no longer
+    ships loads and scores under NumPy exactly like its source model."""
+
+    RETIRED = "retired-gpu"
+
+    @classmethod
+    def _relabel(cls, path):
+        with np.load(path, allow_pickle=False) as data:
+            payload = dict(data)
+        assert str(payload["trained_backend"]) == "numpy"
+        payload["trained_backend"] = np.asarray(cls.RETIRED)
+        np.savez_compressed(path, **payload)
+        return path
+
+    def test_disthd_and_packed_archives_load(self, small_problem, tmp_path):
+        from repro.backend import get_backend
+        from repro.deploy.quantized import QuantizedHDCModel, QuantizedTrainer
+
+        with pytest.raises(KeyError):
+            get_backend(self.RETIRED)
+        train_x, train_y, test_x, _ = small_problem
+        disthd = DistHDClassifier(dim=64, iterations=3, seed=0).fit(
+            train_x, train_y
+        )
+        trainer = QuantizedTrainer(
+            DistHDClassifier(dim=100, iterations=3, seed=0),
+            bits=1, packed=True,
+        ).fit(train_x, train_y)
+        for name, saved, source in (
+            ("disthd", disthd, disthd),
+            ("packed", trainer, trainer.deployed_),
+        ):
+            loaded = load_model(self._relabel(save_model(saved, tmp_path / name)))
+            if name == "packed":
+                assert isinstance(loaded, QuantizedHDCModel) and loaded.packed
+            np.testing.assert_array_equal(
+                loaded.predict(test_x), source.predict(test_x)
+            )
+            np.testing.assert_array_equal(
+                loaded.decision_scores(test_x), source.decision_scores(test_x)
+            )
+
+
 class TestDatasetIO:
     def test_dataset_roundtrip(self, tmp_path):
         ds = load_dataset("diabetes", scale=0.005, seed=0)

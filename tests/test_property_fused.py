@@ -6,7 +6,7 @@ Guarantees pinned here:
   ``ArrayBackend.fused_absdiff_colsum``) matches the dense reference
   (``distance_matrices`` + normalise + column-sum) to tight tolerance
   across dtypes, both incorrect rules, every normalization and arbitrary
-  chunk sizes, on NumPy and (when installed) torch;
+  chunk sizes, on every backend :func:`~repro.backend.list_backends` names;
 - chunked ``similarities`` / ``predict`` / ``topk`` / encoder ``encode``
   equal their unchunked forms exactly;
 - the fused path allocates no ``(n, D)`` distance temporaries — its traced
@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backend import get_backend, torch_is_available
+from repro.backend import get_backend, list_backends
 from repro.core.regeneration import (
     _normalize_matrix,
     distance_matrices,
@@ -34,12 +34,6 @@ from repro.core.topk import partition_outcomes
 from repro.hdc.encoders.rbf import RBFEncoder
 from repro.hdc.memory import AssociativeMemory
 
-torch_required = pytest.mark.skipif(
-    not torch_is_available(), reason="torch is not installed"
-)
-
-BACKENDS = ["numpy"] + (["torch"] if torch_is_available() else [])
-
 
 def make_problem(seed, n=160, dim=48, k=5, dtype=np.float32, backend="numpy"):
     """A trained-ish memory plus encoded batch with non-trivial outcomes."""
@@ -48,8 +42,7 @@ def make_problem(seed, n=160, dim=48, k=5, dtype=np.float32, backend="numpy"):
     y = rng.integers(0, k, size=n)
     memory = AssociativeMemory(k, dim, dtype=dtype, backend=backend)
     memory.accumulate(rng.normal(size=(n, dim)).astype(dtype), y)
-    b = memory.backend
-    encoded = b.asarray(H) if backend != "numpy" else H
+    encoded = memory.backend.asarray(H)
     partition = partition_outcomes(memory, encoded, y)
     return encoded, y, partition, memory
 
@@ -65,7 +58,7 @@ def dense_scores(encoded, y, partition, memory, rule, normalization):
 
 
 class TestFusedMatchesDense:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", list_backends())
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("rule", ["prose", "algorithm-box"])
     @pytest.mark.parametrize("normalization", ["l2", "l1", "minmax", "none"])
@@ -85,7 +78,7 @@ class TestFusedMatchesDense:
         np.testing.assert_allclose(got_m, ref_m, rtol=rtol, atol=1e-6)
         np.testing.assert_allclose(got_n, ref_n, rtol=rtol, atol=1e-6)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", list_backends())
     def test_selected_dims_match(self, backend):
         encoded, y, partition, memory = make_problem(11, backend=backend)
         M, N = distance_matrices(encoded, y, partition, memory)
@@ -125,22 +118,6 @@ class TestFusedMatchesDense:
         assert undesired_from_scores(
             m_s, n_s, regen_rate=0.2
         ).size == 0  # intersection with the empty side is a no-op
-
-    @torch_required
-    def test_numpy_torch_parity(self):
-        encoded, y, partition, memory = make_problem(19, backend="numpy")
-        t_encoded, t_y, t_partition, t_memory = make_problem(
-            19, backend="torch"
-        )
-        for rule in ("prose", "algorithm-box"):
-            ref_m, ref_n = fused_dimension_scores(
-                encoded, y, partition, memory, incorrect_rule=rule
-            )
-            got_m, got_n = fused_dimension_scores(
-                t_encoded, t_y, t_partition, t_memory, incorrect_rule=rule
-            )
-            np.testing.assert_allclose(got_m, ref_m, rtol=1e-4, atol=1e-6)
-            np.testing.assert_allclose(got_n, ref_n, rtol=1e-4, atol=1e-6)
 
     def test_bad_terms_rejected(self):
         b = get_backend("numpy")

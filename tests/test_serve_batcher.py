@@ -2,12 +2,14 @@
 
 import queue
 import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.serve import batcher as batcher_module
 from repro.serve.batcher import MicroBatcher
 
 
@@ -26,15 +28,18 @@ def _echo_handler(requests):
 
 class _SpyQueue(queue.Queue):
     """Records each ``get``: whether it blocked, and the item it returned
-    (``None`` when it came back empty).  ``entered`` is set once a
-    ``get`` has started."""
+    (``None`` when it came back empty).  ``started`` lists the
+    ``(block, timeout)`` of every ``get`` as it begins, and ``entered``
+    is set once one has."""
 
     def __init__(self):
         super().__init__()
         self.calls = []
+        self.started = []
         self.entered = threading.Event()
 
     def get(self, block=True, timeout=None):
+        self.started.append((block, timeout))
         self.entered.set()
         try:
             item = super().get(block, timeout)
@@ -43,6 +48,15 @@ class _SpyQueue(queue.Queue):
             raise
         self.calls.append((block, item))
         return item
+
+
+def _spied_batcher(monkeypatch, handler):
+    """A batcher whose worker reads a :class:`_SpyQueue` from its start."""
+    spy = _SpyQueue()
+    with monkeypatch.context() as patch:
+        patch.setattr(batcher_module.queue, "Queue", lambda: spy)
+        mb = MicroBatcher(handler)
+    return mb, spy
 
 
 class TestCoalescing:
@@ -125,7 +139,7 @@ class TestCoalescing:
         # Single-rows-of-2 requests: a batch stops growing once >= 4 rows.
         assert max(sizes) <= 4 + 1  # one multi-row request may overshoot
 
-    def test_lone_request_waits_only_for_itself(self):
+    def test_lone_request_waits_only_for_itself(self, monkeypatch):
         """The worker blocks only to wait for a batch's first request;
         what it adds to the batch it takes without waiting."""
         seen = []
@@ -134,9 +148,8 @@ class TestCoalescing:
             seen.append(list(spy.calls))
             return _echo_handler(requests)
 
-        spy = _SpyQueue()
-        with MicroBatcher(handler) as mb:
-            mb._queue = spy
+        mb, spy = _spied_batcher(monkeypatch, handler)
+        with mb:
             # Submit only once the idle worker waits on the spy, so the
             # request arrives fresh.
             assert spy.entered.wait(timeout=5)
@@ -226,6 +239,75 @@ class TestLifecycle:
         assert mb.closed
         with pytest.raises(RuntimeError, match="closed"):
             mb.submit("sum", np.ones(3))
+
+    def test_idle_worker_blocks_once_and_close_wakes_it(self, monkeypatch):
+        """An idle worker sleeps in one untimed ``get`` instead of polling,
+        and ``close`` wakes it rather than waiting out a poll."""
+        mb, spy = _spied_batcher(monkeypatch, _echo_handler)
+        assert spy.entered.wait(timeout=5)
+        time.sleep(0.2)
+        assert spy.started == [(True, None)]
+        mb.close()
+        assert not mb._worker.is_alive()
+        mb.close()  # a second close is harmless
+        assert not mb._worker.is_alive()
+
+    def test_marker_mid_batch_flushes_the_batch_first(self):
+        """Requests queued ahead of close's marker are all served, even
+        when the marker lands inside a drain."""
+        started, gate = threading.Event(), threading.Event()
+
+        def handler(requests):
+            started.set()
+            gate.wait(timeout=10)
+            return _echo_handler(requests)
+
+        mb = MicroBatcher(handler, max_batch_size=64)
+        head = mb.submit("sum", np.ones(3))
+        assert started.wait(timeout=5)
+        queued = [mb.submit("sum", np.full(3, float(i))) for i in range(4)]
+        closer = threading.Thread(target=mb.close)
+        closer.start()
+        deadline = time.monotonic() + 5
+        while mb._queue.qsize() <= len(queued):  # until close queues its marker
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        gate.set()
+        closer.join(timeout=10)
+        assert not closer.is_alive() and not mb._worker.is_alive()
+        assert head.result(timeout=0)[0] == 3.0
+        for i, future in enumerate(queued):
+            assert future.result(timeout=0)[0] == pytest.approx(3.0 * i)
+
+    def test_submit_racing_a_timed_out_close_resolves(self, monkeypatch):
+        """A submit that read the open flag just before close() set it
+        lands behind the marker; if close() gave up joining a busy
+        worker, that worker serves the request before it exits."""
+        started, gate = threading.Event(), threading.Event()
+
+        def handler(requests):
+            started.set()
+            gate.wait(timeout=10)
+            return _echo_handler(requests)
+
+        mb = MicroBatcher(handler)
+        head = mb.submit("sum", np.ones(3))
+        assert started.wait(timeout=5)
+        mb.close(timeout=0.01)
+        assert mb._worker.is_alive()
+        is_set, checks = mb._closed.is_set, []
+
+        def flag_read_before_close():
+            checks.append(None)
+            return len(checks) > 1 and is_set()
+
+        monkeypatch.setattr(mb._closed, "is_set", flag_read_before_close)
+        late = mb.submit("sum", np.full(3, 2.0))
+        gate.set()
+        mb._worker.join(timeout=5)
+        assert not mb._worker.is_alive()
+        assert head.result(timeout=0)[0] == 3.0
+        assert late.result(timeout=0)[0] == 6.0
 
 
 class TestRandomSchedules:
