@@ -86,10 +86,10 @@ class RandomProjectionEncoder(RegenerableEncoder):
     def encode_dims(self, X: Any, dims: np.ndarray) -> Any:
         """Encode only the selected output dimensions (``(n, len(dims))``)."""
         dims = self._check_dims(dims)
+        X = self._check_input(X)
         b = self.backend
         if dims.size == 0:
-            return b.zeros((np.asarray(X).shape[0], 0), dtype=self.dtype)
-        X = self._check_input(X)
+            return b.zeros((X.shape[0], 0), dtype=self.dtype)
         rows = b.take_rows(self.base_vectors, dims)
         return self._activate(b.matmul(X, b.transpose(rows)))
 

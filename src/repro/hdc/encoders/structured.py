@@ -58,6 +58,7 @@ from typing import Any
 
 from repro.backend import BackendLike
 from repro.hdc.encoders.base import RegenerableEncoder
+from repro.hdc.encoders.rbf import rff_activate
 from repro.hdc.fwht import next_pow2
 from repro.utils.rng import SeedLike, as_rng
 
@@ -217,10 +218,10 @@ class StructuredProjectionEncoder(RegenerableEncoder):
         blocks.
         """
         dims = self._check_dims(dims)
+        X = self._check_input(X)
         b = self.backend
         if dims.size == 0:
-            return b.zeros((np.asarray(X).shape[0], 0), dtype=self.dtype)
-        X = self._check_input(X)
+            return b.zeros((X.shape[0], 0), dtype=self.dtype)
         m = self.block
         slots = self.src_slots[dims]
         blocks = np.unique(slots // m)
@@ -259,8 +260,9 @@ class FastfoodRBFEncoder(StructuredProjectionEncoder):
 
     Applies the same random-Fourier map ``h = cos(y + c) · sin(y)`` as the
     dense RBF encoder, with ``y`` produced by the structured chain instead
-    of a ``(D, q)`` matmul — computed as ``(sin(2y + c) − sin c) / 2`` so
-    encoding pays one transcendental pass instead of two plus a product.
+    of a ``(D, q)`` matmul — computed in place as ``(sin(2y + c) − sin c) / 2``
+    by the shared :func:`~repro.hdc.encoders.rbf.rff_activate`, so encoding
+    pays one transcendental pass instead of two plus a product.
 
     Parameters match :class:`~repro.hdc.encoders.rbf.RBFEncoder`:
     ``bandwidth`` is the kernel-width knob (``σ = bandwidth/√q``).
@@ -293,24 +295,19 @@ class FastfoodRBFEncoder(StructuredProjectionEncoder):
         self.phases = b.draw_uniform(
             self._rng, 0.0, 2.0 * np.pi, self.dim, self.dtype
         )
-        self._sin_phases = b.sin(self.phases)
 
     def _sigma(self) -> float:
         return self.bandwidth / np.sqrt(self.n_features)
 
     def _activate(self, proj: Any) -> Any:
-        b = self.backend
-        out = b.sin(2.0 * proj + self.phases)
-        out -= self._sin_phases
-        out *= 0.5
-        return out
+        # proj may be a view into the (n, nb·m) work buffer; proj + proj is
+        # then the one fresh (n, D) array, and doubling is exact.
+        return rff_activate(proj + proj, self.phases)
 
     def _activate_dims(self, proj: Any, dims: np.ndarray) -> Any:
-        b = self.backend
-        out = b.sin(2.0 * proj + b.take_rows(self.phases, dims))
-        out -= b.take_rows(self._sin_phases, dims)
-        out *= 0.5
-        return out
+        # proj is a fresh column gather here, so it is doubled in place.
+        proj += proj
+        return rff_activate(proj, self.backend.take_rows(self.phases, dims))
 
     def regenerate(self, dims: np.ndarray) -> None:
         """Redraw slots, scales and phases for the given output dimensions."""
@@ -323,4 +320,3 @@ class FastfoodRBFEncoder(StructuredProjectionEncoder):
             self._rng, 0.0, 2.0 * np.pi, dims.size, self.dtype
         )
         b.set_rows(self.phases, dims, fresh)
-        b.set_rows(self._sin_phases, dims, b.sin(fresh))

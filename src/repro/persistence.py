@@ -125,7 +125,6 @@ def _restore_encoder(kind: str, data, n_features: int, dim: int, dtype):
                 seed=0, dtype=dtype,
             )
             encoder.phases = np.asarray(data["enc_phases"], dtype=dtype)
-            encoder._sin_phases = np.sin(encoder.phases)
         else:
             encoder = StructuredProjectionEncoder(
                 n_features, dim, activation=str(data["enc_activation"]),

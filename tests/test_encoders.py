@@ -1,19 +1,42 @@
 """Tests for the encoder family (RBF, projection, ID-level, n-gram)."""
 
+import copy
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.hdc.encoders import (
+    FastfoodRBFEncoder,
     IDLevelEncoder,
     NGramEncoder,
     RandomProjectionEncoder,
     RBFEncoder,
+    make_encoder,
 )
+
+#: Allowed gap between the encoder's product-to-sum form and the literal
+#: cos·sin reference: float rounding of the ``2p + c`` argument and of the
+#: two products, per compute dtype.
+RBF_ATOL = {np.float32: 2e-6, np.float64: 1e-12}
 
 
 @pytest.fixture
 def features(rng):
     return rng.normal(size=(10, 6))
+
+
+def cos_sin_reference(X, base_vectors, phases):
+    """The §III-C formula written out: ``cos(B·F + c) * sin(B·F)``."""
+    proj = X @ base_vectors.T
+    return np.cos(proj + phases) * np.sin(proj)
+
+
+class CosSinRBFEncoder(RBFEncoder):
+    """An RBF encoder that computes the literal cos·sin product."""
+
+    def _encode(self, X):
+        return cos_sin_reference(X, self.base_vectors, self.phases)
 
 
 class TestRBFEncoder:
@@ -28,12 +51,15 @@ class TestRBFEncoder:
         b = RBFEncoder(6, 32, seed=5).encode(features)
         assert np.array_equal(a, b)
 
-    def test_formula(self, features):
-        """h_i = cos(B_i·F + c_i) * sin(B_i·F), §III-C."""
-        enc = RBFEncoder(6, 8, seed=1)
-        proj = features @ enc.base_vectors.T
-        expected = np.cos(proj + enc.phases) * np.sin(proj)
-        assert np.allclose(enc.encode(features), expected)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_formula(self, features, dtype):
+        """h_i = cos(B_i·F + c_i) * sin(B_i·F), §III-C, to float rounding."""
+        enc = RBFEncoder(6, 64, seed=1, dtype=dtype)
+        X = features.astype(dtype)
+        got = enc.encode(X)
+        assert got.dtype == dtype
+        expected = cos_sin_reference(X, enc.base_vectors, enc.phases)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=RBF_ATOL[dtype])
 
     def test_projection_scaled_by_sqrt_features(self):
         enc = RBFEncoder(400, 5000, seed=0, bandwidth=1.0)
@@ -69,15 +95,45 @@ class TestRBFEncoder:
         with pytest.raises(ValueError, match="dimension indices"):
             enc.regenerate(np.array([8]))
 
-    def test_encode_dims_matches_full(self, features):
-        enc = RBFEncoder(6, 32, seed=3)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_encode_dims_matches_full(self, features, dtype):
+        enc = RBFEncoder(6, 32, seed=3, dtype=dtype)
+        X = features.astype(dtype)
         dims = np.array([0, 5, 17])
-        full = enc.encode(features)
-        assert np.allclose(enc.encode_dims(features, dims), full[:, dims])
+        got = enc.encode_dims(X, dims)
+        atol = RBF_ATOL[dtype]
+        np.testing.assert_allclose(got, enc.encode(X)[:, dims], rtol=0, atol=atol)
+        expected = cos_sin_reference(X, enc.base_vectors[dims], enc.phases[dims])
+        np.testing.assert_allclose(got, expected, rtol=0, atol=atol)
 
     def test_encode_dims_empty(self, features):
         enc = RBFEncoder(6, 8, seed=0)
         assert enc.encode_dims(features, np.array([], dtype=np.int64)).shape == (10, 0)
+
+    @pytest.mark.parametrize(
+        "dims", [None, np.arange(500)], ids=["encode", "encode_dims"]
+    )
+    def test_encoding_allocates_only_its_output(self, rng, dims):
+        """encode / encode_dims write the activation into the GEMM output:
+        the traced peak stays within 1.5x the returned array's bytes."""
+        enc = RBFEncoder(20, 2048, seed=0, dtype="float32")
+        X = rng.normal(size=(400, 20)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            out = enc.encode(X) if dims is None else enc.encode_dims(X, dims)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * out.nbytes
+
+    def test_encode_leaves_input_unchanged(self, rng):
+        # A float32 input reaches _encode as the caller's own array.
+        enc = RBFEncoder(6, 64, seed=0, dtype="float32")
+        X = rng.normal(size=(10, 6)).astype(np.float32)
+        before = X.copy()
+        enc.encode(X)
+        enc.encode_dims(X, np.array([1, 40]))
+        np.testing.assert_array_equal(X, before)
 
     def test_feature_count_enforced(self):
         enc = RBFEncoder(6, 8, seed=0)
@@ -91,6 +147,61 @@ class TestRBFEncoder:
     def test_callable(self, features):
         enc = RBFEncoder(6, 8, seed=0)
         assert np.array_equal(enc(features), enc.encode(features))
+
+
+EMPTY_DIMS_ENCODERS = {
+    "rbf": lambda: RBFEncoder(6, 16, seed=0),
+    "fastfood-rbf": lambda: FastfoodRBFEncoder(6, 16, seed=0),
+    "structured-tanh": lambda: make_encoder("structured-tanh", 6, 16, seed=0),
+    "projection-cos": lambda: make_encoder("projection-cos", 6, 16, seed=0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMPTY_DIMS_ENCODERS))
+class TestEncodeDimsEmpty:
+    """An empty ``dims`` still validates ``X`` and returns ``(n, 0)``."""
+
+    def test_one_sample_is_one_row(self, name):
+        enc = EMPTY_DIMS_ENCODERS[name]()
+        out = enc.encode_dims(np.ones(6), np.array([], dtype=np.int64))
+        assert out.shape == (1, 0)
+        assert enc.encode_dims(np.ones(6), [3]).shape == (1, 1)
+
+    def test_wrong_width_rejected(self, name):
+        enc = EMPTY_DIMS_ENCODERS[name]()
+        with pytest.raises(ValueError, match="features"):
+            enc.encode_dims(np.ones((2, 7)), np.array([], dtype=np.int64))
+
+    def test_non_finite_rejected(self, name):
+        enc = EMPTY_DIMS_ENCODERS[name]()
+        X = np.ones((2, 6))
+        X[1, 2] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            enc.encode_dims(X, np.array([], dtype=np.int64))
+
+
+class TestRBFPredictionParity:
+    """Float and packed 1-bit predictions equal those of copies whose
+    encoder computes the literal cos·sin product."""
+
+    def test_float_and_packed_predictions_match_cos_sin(self, medium_problem):
+        from repro import make_model
+        from repro.deploy import QuantizedHDCModel
+
+        train_x, train_y, test_x, _ = medium_problem
+        clf = make_model("disthd", dim=1024, iterations=4, seed=3)
+        clf.fit(train_x, train_y)
+        reference = copy.deepcopy(clf)
+        reference.encoder_.__class__ = CosSinRBFEncoder
+        np.testing.assert_array_equal(
+            clf.predict(test_x), reference.predict(test_x)
+        )
+        packed = QuantizedHDCModel(clf, bits=1, packed=True)
+        packed_ref = QuantizedHDCModel(reference, bits=1, packed=True)
+        assert type(packed_ref.encoder) is CosSinRBFEncoder
+        np.testing.assert_array_equal(
+            packed.predict(test_x), packed_ref.predict(test_x)
+        )
 
 
 class TestRandomProjectionEncoder:

@@ -210,15 +210,20 @@ class TestChunkedQueriesMatchUnchunked:
 
 
 class TestCacheAwareColumnKernels:
+    # Row strides that are 4 KiB multiples (1024 float32/float64, 512
+    # float64) take the 8-row window; the others (40, 1000, 512 float32)
+    # take the L2-sized one.
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("width", [40, 512, 1000, 1024])
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**16), n=st.integers(1, 300))
-    def test_set_columns_matches_naive(self, seed, n):
+    def test_set_columns_matches_naive(self, width, dtype, seed, n):
         rng = np.random.default_rng(seed)
         b = get_backend("numpy")
-        x = rng.normal(size=(n, 40)).astype(np.float32)
+        x = rng.normal(size=(n, width)).astype(dtype)
         ref = x.copy()
-        cols = np.unique(rng.integers(0, 40, size=11))
-        vals = rng.normal(size=(n, cols.size)).astype(np.float32)
+        cols = np.unique(rng.integers(0, width, size=max(11, width // 2)))
+        vals = rng.normal(size=(n, cols.size)).astype(dtype)
         b.set_columns(x, cols, vals)
         ref[:, cols] = vals
         np.testing.assert_array_equal(x, ref)
