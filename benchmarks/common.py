@@ -4,9 +4,10 @@ The paper's evaluation ran on an i9-12900 against the full UCI datasets; the
 benchmarks here run the same model zoo against scaled-down synthetic analogs
 so the whole suite finishes in minutes.  The *shape* of each figure (who
 wins, by roughly what factor, where crossovers fall) is what the assertions
-check; EXPERIMENTS.md records paper-vs-measured values.
+check; ``test_headline_claims.py`` prints paper-vs-measured values side
+by side.
 
-Scaling conventions (documented per DESIGN.md §5):
+Scaling conventions:
 
 - ``DIM_LO`` stands in for the paper's compressed D = 0.5k and ``DIM_HI``
   for the effective D* = 4k — the same 8× ratio;

@@ -1,4 +1,4 @@
-"""Ablations — the design choices DESIGN.md §2 calls out.
+"""Ablations — the design choices the paper leaves open.
 
 Not figures from the paper; these quantify the under-specified decisions:
 

@@ -56,8 +56,7 @@ def test_fig4_accuracy_comparison(benchmark):
     )
     assert means["DistHD"] >= means["BaselineHD-hi"] - 0.05, (
         "DistHD at D_lo must be comparable to BaselineHD at 8x dimensionality "
-        "(paper: +1.82%; our analogs land within a few points — see "
-        "EXPERIMENTS.md)"
+        "(paper: +1.82%; our analogs land within a few points)"
     )
     assert means["DistHD"] >= means["NeuralHD"] - 0.01, (
         "DistHD must match or beat NeuralHD at equal dimensionality"

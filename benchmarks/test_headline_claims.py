@@ -6,7 +6,7 @@ DNNs and 8.09× faster inference than SOTA learning algorithms, (iii) 12.90×
 higher robustness against hardware errors than SOTA DNNs.
 
 This bench aggregates the same quantities from our scaled analogs and
-prints paper-vs-measured side by side (EXPERIMENTS.md records the history).
+prints paper-vs-measured side by side.
 """
 
 import time
@@ -98,9 +98,8 @@ def test_headline_claims(benchmark):
     for key in paper:
         print(f"  {key:30s} paper={paper[key]:>6.2f}  measured={measured[key]:>6.2f}")
 
-    # Shape assertions: direction and rough magnitude (EXPERIMENTS.md holds
-    # the paper-vs-measured discussion; our analogs land within a few points
-    # of the 8x static baseline rather than above it).
+    # Shape assertions: direction and rough magnitude (our analogs land
+    # within a few points of the 8x static baseline rather than above it).
     assert measured["acc_gain_vs_8x_static_pct"] > -5.0, (
         "DistHD at D_lo must stay within 5pts of the 8x static baseline"
     )

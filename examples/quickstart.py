@@ -9,7 +9,8 @@ from repro import load_dataset, make_model
 
 def main() -> None:
     # A scaled-down synthetic analog of the UCIHAR activity-recognition
-    # dataset (561 features, 12 classes) — see DESIGN.md for why analogs.
+    # dataset (561 features, 12 classes): the real data needs a download,
+    # and the analog keeps its feature and class counts (repro.datasets).
     dataset = load_dataset("ucihar", scale=0.10, seed=0)
     print(
         f"dataset: {dataset.name}  "

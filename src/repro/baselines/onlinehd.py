@@ -3,8 +3,9 @@
 This sits exactly between BaselineHD and DistHD: it uses DistHD's
 similarity-weighted adaptive update (Algorithm 1) but never regenerates
 dimensions.  Comparing the three isolates how much of DistHD's gain comes
-from adaptive weighting versus dimension regeneration — the ablation the
-DESIGN.md calls out.
+from adaptive weighting versus dimension regeneration — the ablation
+``benchmarks/test_ablations.py::test_ablation_adaptive_vs_regeneration``
+runs.
 """
 
 from __future__ import annotations

@@ -285,7 +285,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         repeats=args.repeats,
         dtype=args.dtype,
         smoke=args.smoke,
-        include_regen_heavy=not args.no_regen_heavy,
         include_sharded=not args.no_sharded,
         include_serving=not args.no_serving,
         include_packed=not args.no_packed,
@@ -774,10 +773,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--smoke", action="store_true",
         help="tiny CI-sized run (small dim/scale, one repeat)",
-    )
-    bench.add_argument(
-        "--no-regen-heavy", action="store_true",
-        help="skip the regeneration-heavy fit scenario",
     )
     bench.add_argument(
         "--no-sharded", action="store_true",

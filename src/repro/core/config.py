@@ -65,7 +65,9 @@ class DistHDConfig:
     incorrect_rule:
         Which formula scores incorrect samples — ``"prose"`` (§III-C text,
         the self-consistent default) or ``"algorithm-box"`` (Algorithm 2
-        line 11 as printed).  See DESIGN.md §2.
+        line 11 as printed, which rewards dimensions close to the true
+        class — the opposite of what ``M`` marks; see
+        :mod:`repro.core.regeneration`).
     normalization:
         How the distance matrices are normalised before column-summing
         (``"l2"`` rows, ``"l1"`` rows, ``"minmax"`` rows, or ``"none"``).

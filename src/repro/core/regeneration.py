@@ -12,8 +12,11 @@ matrices:
       ``N_i = α·|H − C_true| − β·|H − C_top1| − θ·|H − C_top2|``
   with the printed Algorithm-2-box alternative
       ``N_i = α·|H − C_top1| + β·|H − C_top2| − θ·|H − C_true|``
-  selectable for ablation (see DESIGN.md §2 for why the prose rule is the
-  default).
+  selectable for ablation.  The prose rule is the default because it
+  gives ``N`` the sign convention of ``M`` (large entries: far from the
+  true class, close to the wrong ones); the box as printed rewards
+  dimensions close to the true class instead.
+  ``benchmarks/test_ablations.py`` compares the two.
 
 Both matrices are normalised row-wise, column-summed into 1×D score vectors
 ``M'`` and ``N'``, and the *intersection* of their top-R%·D highest-scoring
@@ -85,9 +88,8 @@ def distance_matrices(
     hypervectors enter the distances in normalised form (``N_l`` of equation
     (1)): class vectors are sums over many samples, so raw ``|H − C|`` would
     be dominated by the class magnitudes instead of the per-dimension
-    disagreement the selection needs.  The encoded samples ``H`` stay raw
-    (their entries are already bounded by the cos·sin encoder); empirically
-    this variant ranks misleading dimensions best — see DESIGN.md §2.
+    disagreement the selection needs.  The encoded samples ``H`` stay raw:
+    their entries are already bounded by the cos·sin encoder.
     """
     # Scoring runs at the encoding's own dtype (float32 on the hot path,
     # float64 when callers pass float64) — the selection only needs the

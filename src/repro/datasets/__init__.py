@@ -5,8 +5,7 @@ DIABETES).  This environment has no network access, so each dataset has a
 deterministic synthetic analog matching the Table-I signature — same feature
 count ``n`` and class count ``k``, sample counts scalable via ``scale`` — with
 difficulty calibrated so the phenomena DistHD exploits (top-1 < top-2 < top-3
-accuracy, class confusability) hold.  See DESIGN.md §3 for the substitution
-rationale.
+accuracy, class confusability) hold.
 """
 
 from repro.datasets.loaders import Dataset, load_dataset

@@ -1,78 +1,29 @@
-"""Performance harness: time encode/fit/predict per model and dataset.
+"""Performance harness behind ``repro bench``: models and scenarios.
 
-Drives the ``repro bench`` CLI subcommand (and ``benchmarks/perf.py``),
-emitting the ``BENCH_*.json`` trajectory the ROADMAP tracks so hot-path
-speedups are measured, not asserted.  Timings are best-of-``repeats``
-wall-clock seconds.
+:func:`run_bench` times encode/fit/predict per model on one dataset
+(best-of-``repeats`` wall-clock seconds) and runs six scenarios, each of
+which the CLI can skip:
 
-The regen-heavy scenario times DistHD at a regeneration-heavy operating
-point and records peak RSS and the traced allocation peak of the fused
-Algorithm-2 scoring call, evidencing that the fused path never
-materialises an ``(n, D)`` distance temporary.
+- ``sharded_fit`` — single-process ``fit`` vs data-parallel
+  ``shard_fit`` at the regen-heavy operating point;
+- ``serving`` — a micro-batched ``ModelServer`` vs per-request
+  ``predict``, driven by client threads that each block on their
+  request, with an adaptation hot-swap mid-run;
+- ``packed_vs_int8`` — bit-packed vs unpacked 1-bit and 8-bit artifacts:
+  footprints, scorer-stage time, and exact parity with an unpacked
+  reference of the binary scorer;
+- ``fleet_resilience`` — steady-state ``FleetServer`` throughput at 1 vs
+  ``n_workers`` worker processes;
+- ``encode_latency`` — dense RBF vs structured Fastfood encode latency,
+  FWHT exactness and DistHD accuracy parity;
+- ``obs_overhead`` — fully traced vs untraced ``ModelServer`` throughput
+  and p95, in paired rounds.
 
-Payload schema 3 adds the **sharded-fit** scenario: single-process ``fit``
-versus data-parallel ``shard_fit`` on the same regen-heavy operating
-point, recording shard count, ``n_jobs``, both accuracies and the
-wall-clock speedup (``fit_speedup_vs_single``).
-
-Payload schema 4 adds the **serving** scenario: a DistHD model trained at
-the regen-heavy operating point is deployed as a fixed-point artifact
-behind a :class:`~repro.serve.server.ModelServer`, and a closed-loop load
-generator at ``concurrency`` workers measures micro-batched throughput
-and latency percentiles against the per-request baseline
-(``throughput_speedup_vs_direct``).  Mid-run, an
-:class:`~repro.serve.adapter.OnlineAdapter` promotes a
-``partial_fit``-adapted, re-quantized version under load; the record
-asserts the swap dropped zero requests and that post-swap micro-batched
-predictions match the active artifact exactly (``swap.parity_ok``).
-
-Payload schema 5 adds the **packed_vs_int8** scenario: the same trained
-model frozen three ways — ``bits=8``, unpacked ``bits=1`` and bit-packed
-``bits=1`` (64 cells per ``uint64`` word, XOR + popcount scoring).  The
-record compares artifact footprints, times the scorer stage in isolation
-(``score_speedup_vs_int``), proves the packed kernels bit-identical to an
-unpacked implementation of the same binary scorer
-(``parity.accuracy_delta`` exactly 0), and re-runs the hot-swap-under-load
-drill with the packed artifact (promotions re-quantize *and re-pack*).
-
-Payload schema 6 adds the **fleet_resilience** scenario: the packed
-artifact published into shared memory behind a
-:class:`~repro.serve.fleet.server.FleetServer`.  The record compares
-steady-state closed-loop throughput at 1 worker vs ``n_workers`` (workers
-enforce a small ``service_floor_ms`` per request — recorded in the
-payload — so the scaling measures genuine multi-process concurrency, not
-single-core numpy contention), then runs the chaos drills: a mid-load
-worker SIGKILL (zero failed non-shed requests, in-flight retries, bounded
-recovery time, supervisor restart) and a crash-loop drill (the circuit
-breaker must open after ``max_restarts`` rapid deaths).
-
-Payload schema 7 adds the **encode_latency** scenario: the dense
-``O(q·D)`` RBF encoder versus the structured ``O(D log D)`` Fastfood
-encoder (SORF chain over the backend FWHT kernel) at several dimensions
-and batch sizes — the single-sample / small-batch operating points that
-dominate serving latency.  The record carries three kinds of evidence:
-an exactness proof of the FWHT kernel against the naive ``O(m²)``
-Hadamard matmul (bit-identical at float64 on integer inputs), the
-speedup table with a committed ≥ ``ENCODE_SPEEDUP_FLOOR``× gate at the
-headline ``D``, and an accuracy-parity check (DistHD trained with each
-encoder at the same seed must agree within ``ENCODE_ACC_TOLERANCE``).
-
-Payload schema 8 adds the **obs_overhead** scenario: the serving
-scenario's operating point run twice through a
-:class:`~repro.serve.server.ModelServer` — once with no observability
-bundle and once fully traced (``sample_rate=1.0``) — recording the
-throughput ratio and p95 delta against the committed
-``OBS_THROUGHPUT_FLOOR`` / ``OBS_P95_DELTA_CEILING`` gates (tracing must
-be affordable *on*, not just free when off).  A traced fleet kill drill
-then exercises the crash path end to end: the record asserts at least
-one schema-valid flight dump was written and at least one *complete
-retried trace* survived — client → supervisor dispatch/retry → worker
-encode/score spans for a request whose first attempt died with the
-killed worker.
-
-Payload schema 9 drops the replays of earlier training paths (the
-float64 per-sample loop and the cache-free regen-heavy reference); the
-committed ``BENCH_*.json`` files keep their numbers.
+``benchmarks/check_regression.py`` diffs a ``--smoke`` payload against
+the committed baseline.  The regen-heavy fit itself is timed by
+perfbench ``train``; the packed hot-swap and the fleet chaos drills run
+as tier-1 tests and in CI's ``repro chaos`` step.
+``docs/performance.md`` documents the payload and its schema history.
 """
 
 from __future__ import annotations
@@ -81,7 +32,6 @@ import json
 import platform
 import threading
 import time
-import tracemalloc
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -124,9 +74,9 @@ def _peak_rss_mb() -> Optional[float]:
     return round(peak_kb / 1024.0, 2)
 
 
-#: The committed regen-heavy scenario: many samples, few features (so
-#: encoding does not swamp the loop), large D and aggressive regeneration —
-#: the per-iteration cost is dominated by exactly the work PR 3 fused.
+#: The regen-heavy operating point the scenarios train at: many samples,
+#: few features (so encoding does not swamp the loop), large D and
+#: aggressive regeneration.  perfbench ``train`` times this fit.
 REGEN_HEAVY = {
     "dataset": "pamap2",
     "scale": 0.012,
@@ -135,55 +85,6 @@ REGEN_HEAVY = {
     "regen_rate": 0.30,
     "selection": "union",
 }
-
-
-def bench_regen_heavy(
-    *,
-    dataset: str = REGEN_HEAVY["dataset"],
-    scale: float = REGEN_HEAVY["scale"],
-    dim: int = REGEN_HEAVY["dim"],
-    iterations: int = REGEN_HEAVY["iterations"],
-    regen_rate: float = REGEN_HEAVY["regen_rate"],
-    selection: str = REGEN_HEAVY["selection"],
-    seed: int = 0,
-    repeats: int = 3,
-) -> Dict[str, object]:
-    """Time DistHD on the regeneration-heavy scenario.
-
-    Also measures the traced allocation peak of one fused Algorithm-2
-    scoring call next to the bytes a single dense ``(n, D)`` distance
-    matrix would need.
-    """
-    data = load_dataset(dataset, scale=scale, seed=seed)
-
-    def build():
-        return make_model(
-            "disthd", dim=dim, iterations=iterations, seed=seed,
-            regen_rate=regen_rate, selection=selection,
-            convergence_patience=None,
-        )
-
-    fit_s = _best_of(lambda: build().fit(data.train_x, data.train_y), repeats)
-    model = build().fit(data.train_x, data.train_y)
-    test_acc = float(model.score(data.test_x, data.test_y))
-
-    scoring = _measure_fused_scoring_peak(model, data)
-    record: Dict[str, object] = {
-        "scenario": "regen_heavy",
-        "dataset": dataset,
-        "n_train": int(data.train_x.shape[0]),
-        "n_features": int(data.train_x.shape[1]),
-        "dim": dim,
-        "iterations": iterations,
-        "regen_rate": regen_rate,
-        "selection": selection,
-        "seed": seed,
-        "fit_s": fit_s,
-        "test_acc": test_acc,
-        "total_regenerated": int(model.encoder_.regenerated_count),
-        "fused_scoring": scoring,
-    }
-    return record
 
 
 #: The committed sharded-fit scenario: the same regen-heavy operating point,
@@ -441,14 +342,7 @@ def bench_serving(
     return record
 
 
-PACKED_VS_INT8 = dict(
-    REGEN_HEAVY,
-    n_score_rows=4096,
-    score_repeats=5,
-    n_requests=1024,
-    concurrency=16,
-    max_batch_size=64,
-)
+PACKED_VS_INT8 = dict(REGEN_HEAVY, n_score_rows=4096, score_repeats=5)
 
 
 def _binary_reference_scores(
@@ -484,9 +378,6 @@ def bench_packed_deploy(
     selection: str = PACKED_VS_INT8["selection"],
     n_score_rows: int = PACKED_VS_INT8["n_score_rows"],
     score_repeats: int = PACKED_VS_INT8["score_repeats"],
-    n_requests: int = PACKED_VS_INT8["n_requests"],
-    concurrency: int = PACKED_VS_INT8["concurrency"],
-    max_batch_size: int = PACKED_VS_INT8["max_batch_size"],
     seed: int = 0,
 ) -> Dict[str, object]:
     """Benchmark the bit-packed 1-bit deploy path against int artifacts.
@@ -507,18 +398,13 @@ def bench_packed_deploy(
     3. **exact parity**: packed predictions vs an unpacked reference
        implementation of the same binary scorer over the full test set —
        scores bit-identical, predictions element-for-element equal,
-       accuracy delta exactly 0;
-    4. **serving**: the packed artifact behind a
-       :class:`~repro.serve.server.ModelServer` under closed-loop load
-       with a mid-run :class:`~repro.serve.adapter.OnlineAdapter`
-       promotion (re-quantize → re-pack) — zero failed requests, and the
-       post-swap artifact is still packed.
+       accuracy delta exactly 0.
+
+    The packed hot-swap under load is
+    ``tests/test_serve_concurrency.py::TestPackedHotSwap``.
     """
     from repro.deploy.quantized import QuantizedHDCModel
     from repro.hdc.packed import unpack_rows
-    from repro.serve.adapter import DriftDetector, OnlineAdapter
-    from repro.serve.loadgen import run_load
-    from repro.serve.server import ModelServer
 
     data = load_dataset(dataset, scale=scale, seed=seed)
     model = make_model(
@@ -607,66 +493,6 @@ def bench_packed_deploy(
         "accuracy_delta": packed_acc - reference_acc,
         "int8_acc": float(int8.score(data.test_x, data.test_y)),
     }
-
-    # Packed serving under load with a hot-swap promotion mid-run.
-    serve_artifact = QuantizedHDCModel(
-        model, bits=1, packed=True, chunk_size=max_batch_size
-    )
-    with ModelServer(serve_artifact, max_batch_size=max_batch_size) as server:
-        adapter = OnlineAdapter(
-            server, model,
-            detector=DriftDetector(window=64, min_samples=32),
-        )
-        n_fb = min(128, data.train_x.shape[0])
-        fb_x, fb_y = data.train_x[:n_fb], data.train_y[:n_fb]
-        adapter.feedback(fb_x, fb_y)
-        swap_fired = threading.Event()
-        swap_at = n_requests // 2
-        swap_gate = threading.Lock()
-
-        def on_request(i: int) -> None:
-            if i < swap_at or swap_fired.is_set():
-                return
-            with swap_gate:
-                if swap_fired.is_set():
-                    return
-                swap_fired.set()
-            if (
-                adapter.stats()["buffered_feedback"]
-                < adapter.min_adapt_samples
-            ):
-                adapter.feedback(fb_x, fb_y)
-            try:
-                adapter.adapt_now(wait=False)
-            except RuntimeError:
-                pass  # lost the race to a concurrent drift cycle
-
-        batched = run_load(
-            server, data.test_x,
-            n_requests=n_requests,
-            concurrency=concurrency,
-            on_request=on_request,
-        )
-        adapter.join(timeout=60.0)
-        stats = server.stats()
-        served = server.model
-        n_check = min(64, data.test_x.shape[0])
-        record["serving"] = {
-            "n_requests": n_requests,
-            "concurrency": concurrency,
-            "max_batch_size": max_batch_size,
-            "batched": batched.as_record(),
-            "n_swaps": int(stats["n_swaps"]),
-            "n_adaptations": int(adapter.n_adaptations),
-            "failed_requests": int(batched.n_failed),
-            "served_packed_after_swap": bool(getattr(served, "packed", False)),
-            "parity_ok": bool(
-                np.array_equal(
-                    server.predict(data.test_x[:n_check]),
-                    served.predict(data.test_x[:n_check]),
-                )
-            ),
-        }
     return record
 
 
@@ -704,28 +530,20 @@ def bench_fleet_resilience(
     service_floor_ms: float = FLEET_RESILIENCE["service_floor_ms"],
     seed: int = 0,
 ) -> Dict[str, object]:
-    """Benchmark the multi-process fleet: scaling + chaos survival.
+    """Benchmark multi-process fleet scaling.
 
     Trains DistHD at the regen-heavy operating point, freezes the packed
-    artifact, and:
+    artifact, and runs the same closed-loop load against a 1-worker and
+    an ``n_workers`` fleet (fresh fleet each, same shared-memory
+    artifact, same ``service_floor_ms`` per request).  The
+    ``steady_state`` record keeps ``throughput_scaling`` (n-worker rps /
+    1-worker rps) and the p95 ratio (a healthy fleet's p95 must not
+    degrade as workers are added — queueing delay shrinks).
 
-    1. **steady state** — runs the same closed-loop load against a
-       1-worker and an ``n_workers`` fleet (fresh fleet each, same
-       shared-memory artifact, same ``service_floor_ms`` per request) and
-       records ``throughput_scaling`` (n-worker rps / 1-worker rps) plus
-       the p95 ratio (a healthy fleet's p95 must not degrade as workers
-       are added — queueing delay shrinks);
-    2. **chaos: SIGKILL** — a fresh ``n_workers`` fleet under the same
-       load has one worker SIGKILLed mid-run; the record keeps the
-       ok/shed/failed split (failed must be 0 — in-flight requests are
-       retried on survivors), the recovery time back to all-running, and
-       the per-worker restart counts;
-    3. **chaos: crash loop** — one worker is killed every time it comes
-       back until the circuit breaker opens; the record asserts it
-       tripped rather than hot-looping restarts.
+    The SIGKILL and crash-loop drills are ``repro chaos`` (CI
+    fleet-smoke) and ``tests/test_serve_chaos.py``.
     """
     from repro.deploy.quantized import QuantizedHDCModel
-    from repro.serve.chaos import run_chaos_drill, run_crash_loop_drill
     from repro.serve.fleet import FleetServer
     from repro.serve.loadgen import run_load
 
@@ -788,32 +606,6 @@ def bench_fleet_resilience(
     steady["throughput_scaling"] = scaling
     steady["p95_ratio_vs_single"] = p95_ratio
     record["steady_state"] = steady
-
-    with FleetServer(
-        artifact, n_workers=n_workers, queue_depth=queue_depth,
-        service_floor_s=floor_s,
-    ) as fleet:
-        kill = run_chaos_drill(
-            fleet, data.test_x,
-            n_requests=n_requests, concurrency=concurrency,
-            fault="kill", index=0,
-        )
-        outcomes = kill["outcomes"]
-        assert isinstance(outcomes, dict)
-        restarts = kill["restarts"]
-        assert isinstance(restarts, list)
-        kill["survived"] = bool(
-            outcomes["failed"] == 0
-            and kill["recovery_s"] is not None
-            and restarts[0] >= 1
-        )
-        record["chaos_kill"] = kill
-
-    with FleetServer(
-        artifact, n_workers=2, queue_depth=queue_depth,
-        service_floor_s=floor_s,
-    ) as fleet:
-        record["crash_loop"] = run_crash_loop_drill(fleet, index=0)
     return record
 
 
@@ -1039,47 +831,6 @@ def bench_encode_latency(
     }
 
 
-def _measure_fused_scoring_peak(model, data: Dataset) -> Dict[str, object]:
-    """Traced allocation peak of a worst-case fused Algorithm-2 scoring pass.
-
-    Scores *every* training sample through the three-term incorrect rule —
-    the heaviest load regeneration can present — and reports the traced
-    allocation peak next to the bytes one dense ``(n, D)`` distance matrix
-    would occupy.  The fused peak staying far under that bound is the
-    "no (n, D) temporaries" evidence the BENCH trajectory commits to (the
-    same bound is asserted in ``tests/test_property_fused.py``).
-    """
-    encoded = model.encoder_.encode(data.train_x)
-    memory = model.memory_
-    labels = np.asarray(data.train_y, dtype=np.int64)
-    top2, _ = memory.topk(encoded, k=2)
-    n = int(labels.shape[0])
-    rows = np.arange(n, dtype=np.int64)
-    terms = (labels, top2[:, 0], top2[:, 1])
-    coeffs = (model.config.alpha, -model.config.beta, -model.config.theta)
-    C = memory.normalized_native()  # cache outside the traced window
-    dense_bytes = int(n * memory.dim * np.dtype(memory.dtype).itemsize)
-    backend = memory.backend
-    tracemalloc.start()
-    try:
-        backend.fused_absdiff_colsum(
-            encoded, rows, C, terms, coeffs,
-            normalization=model.config.normalization,
-            chunk_size=model.config.chunk_size,
-        )
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return {
-        "n_scored": n,
-        "peak_bytes": int(peak),
-        "dense_matrix_bytes": dense_bytes,
-        "peak_fraction_of_dense": (
-            round(peak / dense_bytes, 4) if dense_bytes else None
-        ),
-    }
-
-
 # ------------------------------------------------------------------- bench
 
 
@@ -1151,8 +902,7 @@ def bench_model(
 
 
 #: The committed observability-overhead scenario: the serving operating
-#: point traced at sample rate 1.0 versus no obs bundle at all, plus a
-#: fully traced fleet kill drill with a live flight recorder.
+#: point traced at sample rate 1.0 versus no obs bundle at all.
 OBS_OVERHEAD = dict(
     REGEN_HEAVY,
     bits=8,
@@ -1160,11 +910,6 @@ OBS_OVERHEAD = dict(
     concurrency=16,
     rows_per_request=8,
     max_batch_size=64,
-    fleet_requests=512,
-    fleet_concurrency=16,
-    n_workers=4,
-    queue_depth=48,
-    service_floor_ms=2.0,
 )
 
 #: Minimum fully-traced / untraced throughput ratio the scenario gates on.
@@ -1196,50 +941,36 @@ def bench_obs_overhead(
     concurrency: int = OBS_OVERHEAD["concurrency"],
     rows_per_request: int = OBS_OVERHEAD["rows_per_request"],
     max_batch_size: int = OBS_OVERHEAD["max_batch_size"],
-    fleet_requests: int = OBS_OVERHEAD["fleet_requests"],
-    fleet_concurrency: int = OBS_OVERHEAD["fleet_concurrency"],
-    n_workers: int = OBS_OVERHEAD["n_workers"],
-    queue_depth: int = OBS_OVERHEAD["queue_depth"],
-    service_floor_ms: float = OBS_OVERHEAD["service_floor_ms"],
     seed: int = 0,
     repeats: int = 5,
 ) -> Dict[str, object]:
-    """Benchmark what full tracing costs, and prove the crash path works.
+    """Benchmark what full tracing costs.
 
-    1. **overhead** — the same closed-loop ``ModelServer`` load (requests
-       carrying a ``rows_per_request`` client burst) runs with no obs
-       bundle and again fully traced (``sample_rate=1.0``, every request
-       a client span with serve/batch/encode/score children published
-       into the metrics registry).  Measurement is *paired*: each of
-       ``repeats`` rounds runs untraced/traced/traced/untraced
-       back-to-back (best of each side within the round) and yields one
-       throughput ratio and one p95 delta; the record reports the
-       **medians** across rounds.  Sequential best-of-N on a busy or
-       single-core host confounds the comparison with machine drift —
-       the paired-round null experiment (off vs off) spans ±10% per
-       round, so only a cross-round median isolates the tracing cost.
-       The record gates the median ratio against
-       ``OBS_THROUGHPUT_FLOOR`` and the median relative p95 growth
-       against ``OBS_P95_DELTA_CEILING`` (both gates bind only at
-       ``OBS_GATE_MIN_REQUESTS`` and above — below that the ratios are
-       recorded informationally, since smoke-scale runs are jitter-bound).
-    2. **chaos** — a traced fleet with a flight recorder takes a mid-load
-       worker SIGKILL.  The drill itself validates every flight dump
-       against the recorder schema; the record additionally requires at
-       least one *complete retried trace* (client + supervisor
-       dispatch/retry + worker spans including a finished ``score``) —
-       the cross-process span tree the tracing exists to produce — and
-       carries the supervisor's per-stage encode/score breakdown
-       aggregated from worker-reported stage times.
+    The same closed-loop ``ModelServer`` load (requests carrying a
+    ``rows_per_request`` client burst) runs with no obs bundle and again
+    fully traced (``sample_rate=1.0``, every request a client span with
+    serve/batch/encode/score children published into the metrics
+    registry).  Measurement is *paired*: each of ``repeats`` rounds runs
+    untraced/traced/traced/untraced back-to-back (best of each side
+    within the round) and yields one throughput ratio and one p95 delta;
+    the record reports the **medians** across rounds.  Sequential
+    best-of-N on a busy or single-core host confounds the comparison
+    with machine drift — the paired-round null experiment (off vs off)
+    spans ±10% per round, so only a cross-round median isolates the
+    tracing cost.  The record gates the median ratio against
+    ``OBS_THROUGHPUT_FLOOR`` and the median relative p95 growth against
+    ``OBS_P95_DELTA_CEILING`` (both gates bind only at
+    ``OBS_GATE_MIN_REQUESTS`` and above — below that the ratios are
+    recorded informationally, since smoke-scale runs are jitter-bound).
+
+    The traced fleet kill drill (flight dumps, complete retried traces)
+    is ``tests/test_obs_integration.py::TestFleetTracingAcrossWorkerDeath``.
     """
     import gc
     import statistics
-    import tempfile
 
     from repro.deploy.quantized import QuantizedHDCModel
-    from repro.obs import Observability, complete_retried_traces
-    from repro.serve.chaos import run_chaos_drill, verify_flight_dumps
-    from repro.serve.fleet import FleetServer
+    from repro.obs import Observability
     from repro.serve.loadgen import LoadReport, run_load
     from repro.serve.server import ModelServer
 
@@ -1350,37 +1081,6 @@ def bench_obs_overhead(
         },
     }
 
-    with tempfile.TemporaryDirectory(prefix="repro-obs-bench-") as tmp:
-        fleet_obs = Observability(
-            sample_rate=1.0, flight_dir=tmp,
-            max_spans=max(4096, 16 * fleet_requests),
-        )
-        with FleetServer(
-            artifact, n_workers=n_workers, queue_depth=queue_depth,
-            service_floor_s=service_floor_ms / 1e3, obs=fleet_obs,
-        ) as fleet:
-            kill = run_chaos_drill(
-                fleet, data.test_x,
-                n_requests=fleet_requests, concurrency=fleet_concurrency,
-                fault="kill", index=0, tracer=fleet_obs.tracer,
-            )
-            stages = fleet.stats()["stages"]
-        # close() wrote the shutdown dump; re-validate everything that
-        # exists now (drill dumps + shutdown) before the tmpdir goes.
-        dumps = verify_flight_dumps(fleet) or []
-        complete = complete_retried_traces(fleet_obs.tracer.finished())
-        chaos = {
-            "outcomes": kill["outcomes"],
-            "n_retries": kill["n_retries"],
-            "recovery_s": kill["recovery_s"],
-            "stages": stages,
-            "n_flight_dumps": len(dumps),
-            "flight_dumps": [Path(p).name for p in dumps],
-            "spans_recorded": len(fleet_obs.tracer.finished()),
-            "complete_retried_traces": len(complete),
-            "passed": bool(len(dumps) >= 1 and len(complete) >= 1),
-        }
-
     return {
         "scenario": "obs_overhead",
         "dataset": dataset,
@@ -1394,13 +1094,8 @@ def bench_obs_overhead(
         "concurrency": concurrency,
         "rows_per_request": rows_per_request,
         "max_batch_size": max_batch_size,
-        "fleet_requests": fleet_requests,
-        "fleet_concurrency": fleet_concurrency,
-        "n_workers": n_workers,
-        "service_floor_ms": float(service_floor_ms),
         "repeats": n_rounds,
         "overhead": overhead,
-        "chaos": chaos,
     }
 
 
@@ -1415,7 +1110,6 @@ def run_bench(
     repeats: int = 3,
     dtype: Optional[str] = None,
     smoke: bool = False,
-    include_regen_heavy: bool = True,
     include_sharded: bool = True,
     include_serving: bool = True,
     include_packed: bool = True,
@@ -1426,8 +1120,7 @@ def run_bench(
     """Run the full bench sweep and return the ``BENCH_*.json`` payload.
 
     ``smoke=True`` shrinks everything (tiny synthetic dataset, one repeat,
-    a miniature regen-heavy scenario) so CI can exercise the harness in
-    seconds.
+    miniature scenarios) so CI can exercise the harness in seconds.
     """
     if smoke:
         scale, dim, iterations, repeats = 0.02, 64, 3, 1
@@ -1440,7 +1133,7 @@ def run_bench(
         for name in models
     ]
     payload: Dict[str, object] = {
-        "schema": 9,
+        "schema": 10,
         "created_unix": time.time(),
         "repro_version": __version__,
         "python": platform.python_version(),
@@ -1461,15 +1154,6 @@ def run_bench(
         "results": results,
     }
     scenarios: Dict[str, object] = {}
-    if include_regen_heavy:
-        if smoke:
-            scenarios["regen_heavy"] = bench_regen_heavy(
-                scale=0.004, dim=256, iterations=3, seed=seed, repeats=1
-            )
-        else:
-            scenarios["regen_heavy"] = bench_regen_heavy(
-                seed=seed, repeats=repeats
-            )
     if include_sharded:
         if smoke:
             scenarios["sharded_fit"] = bench_sharded_fit(
@@ -1492,8 +1176,7 @@ def run_bench(
         if smoke:
             scenarios["packed_vs_int8"] = bench_packed_deploy(
                 scale=0.004, dim=256, iterations=3,
-                n_score_rows=512, score_repeats=1,
-                n_requests=192, concurrency=8, seed=seed,
+                n_score_rows=512, score_repeats=1, seed=seed,
             )
         else:
             scenarios["packed_vs_int8"] = bench_packed_deploy(seed=seed)
@@ -1523,9 +1206,7 @@ def run_bench(
         if smoke:
             scenarios["obs_overhead"] = bench_obs_overhead(
                 scale=0.004, dim=256, iterations=3,
-                n_requests=192, concurrency=8,
-                fleet_requests=160, fleet_concurrency=8,
-                seed=seed, repeats=1,
+                n_requests=192, concurrency=8, seed=seed, repeats=1,
             )
         else:
             # The paired-median overhead gate needs enough rounds for the
@@ -1560,23 +1241,8 @@ def format_bench_table(payload: Dict[str, object]) -> str:
             f"{row.get('encode_s', float('nan')):>9.4f} "
             f"{row['test_acc']:>9.3f}"
         )
-    scenario = (payload.get("scenarios") or {}).get("regen_heavy")
-    if scenario is not None:
-        lines.append(
-            f"regen-heavy ({scenario['dataset']}, D={scenario['dim']}, "
-            f"R={scenario['regen_rate']}): fit {scenario['fit_s']:.4f}s  "
-            f"(acc {scenario['test_acc']:.3f}, "
-            f"{scenario['total_regenerated']} dims regenerated)"
-        )
-        scoring = scenario.get("fused_scoring") or {}
-        frac = scoring.get("peak_fraction_of_dense")
-        if frac is not None:
-            lines.append(
-                f"fused Algorithm-2 scoring peak: "
-                f"{scoring['peak_bytes'] / 2**20:.2f} MiB "
-                f"({frac:.1%} of one dense (n, D) distance matrix)"
-            )
-    sharded = (payload.get("scenarios") or {}).get("sharded_fit")
+    scenarios = payload.get("scenarios") or {}
+    sharded = scenarios.get("sharded_fit")
     if sharded is not None:
         speedup = sharded["fit_speedup_vs_single"]
         lines.append(
@@ -1589,7 +1255,7 @@ def format_bench_table(payload: Dict[str, object]) -> str:
             f"(acc {sharded['sharded_test_acc']:.3f} / "
             f"{sharded['single_test_acc']:.3f})"
         )
-    serving = (payload.get("scenarios") or {}).get("serving")
+    serving = scenarios.get("serving")
     if serving is not None:
         speedup = serving["throughput_speedup_vs_direct"]
         batched = serving["batched"]
@@ -1610,12 +1276,11 @@ def format_bench_table(payload: Dict[str, object]) -> str:
                 f"{swap['failed_requests']} failed request(s), "
                 f"parity {'ok' if swap['parity_ok'] else 'MISMATCH'}"
             )
-    packed = (payload.get("scenarios") or {}).get("packed_vs_int8")
+    packed = scenarios.get("packed_vs_int8")
     if packed is not None:
         fp = packed["footprints"]
         scoring = packed["scoring"]
         parity = packed["parity"]
-        pserve = packed["serving"]
         speedup = scoring["score_speedup_vs_int"]
         lines.append(
             f"packed deploy ({packed['dataset']}, D={packed['dim']}): "
@@ -1630,23 +1295,12 @@ def format_bench_table(payload: Dict[str, object]) -> str:
             f"(parity {'exact' if parity['scores_bit_identical'] else 'MISMATCH'}, "
             f"acc delta {parity['accuracy_delta']:+.4f})"
         )
-        lines.append(
-            f"packed hot-swap under load: {pserve['n_swaps']} swap(s), "
-            f"{pserve['failed_requests']} failed request(s), "
-            f"served packed after swap: "
-            f"{'yes' if pserve['served_packed_after_swap'] else 'NO'}, "
-            f"parity {'ok' if pserve['parity_ok'] else 'MISMATCH'}"
-        )
-    fleet = (payload.get("scenarios") or {}).get("fleet_resilience")
+    fleet = scenarios.get("fleet_resilience")
     if fleet is not None:
         steady = fleet["steady_state"]
         scaling = steady["throughput_scaling"]
         one = steady["workers_1"]
         many = steady[f"workers_{fleet['n_workers']}"]
-        kill = fleet["chaos_kill"]
-        loop = fleet["crash_loop"]
-        outcomes = kill["outcomes"]
-        recovery = kill["recovery_s"]
         lines.append(
             f"fleet ({fleet['dataset']}, D={fleet['dim']}, "
             f"c={fleet['concurrency']}, floor="
@@ -1655,16 +1309,7 @@ def format_bench_table(payload: Dict[str, object]) -> str:
             f"workers vs {one['throughput_rps']:.0f} rps @ 1 "
             f"→ scaling {'n/a' if scaling is None else f'{scaling:.2f}x'}"
         )
-        lines.append(
-            f"fleet SIGKILL drill: ok={outcomes['ok']} "
-            f"shed={outcomes['shed']} failed={outcomes['failed']}, "
-            f"{kill['n_retries']} retried, recovery "
-            f"{'n/a' if recovery is None else f'{recovery * 1e3:.0f} ms'}; "
-            f"crash-loop breaker "
-            f"{'tripped' if loop['tripped'] else 'DID NOT TRIP'} "
-            f"after {loop['deaths']} deaths"
-        )
-    encode = (payload.get("scenarios") or {}).get("encode_latency")
+    encode = scenarios.get("encode_latency")
     if encode is not None:
         gate = encode["gate"]
         acc = encode["accuracy"]
@@ -1691,10 +1336,9 @@ def format_bench_table(payload: Dict[str, object]) -> str:
             f"(mean delta {acc['delta']:+.4f}, tol {acc['tolerance']:.2f}, "
             f"{verdict})"
         )
-    obs = (payload.get("scenarios") or {}).get("obs_overhead")
+    obs = scenarios.get("obs_overhead")
     if obs is not None:
         over = obs["overhead"]
-        chaos = obs["chaos"]
         ratio = over["throughput_ratio"]
         delta = over["p95_delta"]
         gate = over["gate"]
@@ -1707,12 +1351,5 @@ def format_bench_table(payload: Dict[str, object]) -> str:
             f"(ceiling +{gate['p95_delta_ceiling']:.0%}"
             f"{'' if gate['gated'] else ', not gated at smoke scale'}) "
             f"→ {'pass' if gate['passed'] else 'FAIL'}"
-        )
-        lines.append(
-            f"obs traced kill drill: {chaos['complete_retried_traces']} "
-            f"complete retried trace(s), {chaos['n_flight_dumps']} "
-            f"schema-valid flight dump(s), "
-            f"{chaos['spans_recorded']} spans "
-            f"→ {'pass' if chaos['passed'] else 'FAIL'}"
         )
     return "\n".join(lines)
