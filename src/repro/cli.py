@@ -884,7 +884,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument(
         "--queue-depth", type=int, default=32,
-        help="bounded per-worker queue length (admission control)",
+        help="unanswered requests per worker (admission control)",
     )
     chaos.add_argument(
         "--requests", type=int, default=256,

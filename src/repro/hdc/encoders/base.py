@@ -63,8 +63,12 @@ class Encoder(abc.ABC):
         ``chunk_size`` encodes in row windows into one preallocated output,
         bounding intermediate memory at ``O(chunk_size · D)`` — the encoder
         nonlinearities otherwise materialise several ``(n, D)`` temporaries.
-        The ``(n, D)`` result itself is allocated either way; results are
-        identical because encoding is row-independent.
+        The ``(n, D)`` result itself is allocated either way.  Encoding is
+        row-independent, but a dense GEMM may round a lone row differently
+        from the same row inside a window of two or more: windows of at
+        least two rows are bit-identical to the unchunked result, a
+        one-row window (chunk size 1, or a one-row tail) agrees to float
+        rounding (see docs/performance.md, "Encode determinism").
         """
         X = self._check_input(X)
         n = int(X.shape[0])

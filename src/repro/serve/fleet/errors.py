@@ -20,8 +20,8 @@ class FleetClosed(FleetError):
 
 
 class Overloaded(FleetError):
-    """Admission control rejected the request: every worker queue is full
-    (or no worker is up).  Explicit shed instead of unbounded queueing —
+    """Admission control rejected the request: every worker already holds
+    ``queue_depth`` unanswered requests (or no worker is up).  Explicit shed instead of unbounded queueing —
     the caller sees backpressure immediately rather than a deadline
     timeout after sitting in a queue that could never drain in time."""
 

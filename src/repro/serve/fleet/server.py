@@ -5,19 +5,23 @@ engine's :class:`~repro.engine.executor.ProcessExecutor` idiom applied to
 the request path) against one
 :class:`~repro.serve.fleet.shm.SharedArtifact` — the deploy model
 published once into shared memory and mapped zero-copy by every worker.
-The front end is a dispatcher with **per-worker bounded queues** and
-**admission control**: a request is placed on the least-loaded running
-worker's queue, and when every queue is full it is *shed* with an
-explicit :class:`~repro.serve.fleet.errors.Overloaded` instead of
-queueing unboundedly.  Requests are validated once, at admission, by the
+The front end is a dispatcher with **admission control**: a request is
+placed on the least-loaded running worker, whose unanswered requests
+are bounded by ``queue_depth``, and when every worker is at that bound
+it is *shed* with an explicit
+:class:`~repro.serve.fleet.errors.Overloaded` instead of queueing
+unboundedly.  Requests and replies travel through each worker's
+shared-memory :class:`~repro.serve.fleet.ring.Ring`; the worker's pipe
+carries control messages, oversized requests and one small message per
+answered batch.  Requests are validated once, at admission, by the
 serving core's :func:`~repro.serve.core.admit` (the check
 :class:`~repro.serve.server.ModelServer` runs too), so a malformed or
 non-finite row is rejected with ``ValueError`` before it can share a
 worker batch.  Each request carries a **deadline**; a worker
-answers an expired request without touching the model.  Workers drain
-their queue into micro-batches and reply once per batch (see
-:mod:`repro.serve.fleet.worker`); the collector settles a whole reply
-under one lock acquisition.
+answers an expired request without touching the model.  Workers take
+every published request into one micro-batch and reply once per batch
+(see :mod:`repro.serve.fleet.worker`); the collector settles a whole
+reply under one lock acquisition.
 
 Robustness model (the supervision tree, see ``docs/serving.md``):
 
@@ -50,8 +54,8 @@ operator surface for shed counts, retries, crashes, breaker state and
 swap rollbacks.
 
 Observability (``obs=`` — an :class:`repro.obs.Observability` bundle):
-sampled requests carry their :class:`~repro.obs.trace.TraceContext` over
-the worker queues, the dispatcher wraps each attempt in a ``dispatch``
+sampled requests carry their :class:`~repro.obs.trace.TraceContext` in
+their request slot headers, the dispatcher wraps each attempt in a ``dispatch``
 span and ingests the worker's ``encode``/``score`` spans from the
 response metadata, retries emit a ``retry`` span on the same trace, and
 the flight recorder is dumped on worker death, breaker trips, and
@@ -64,7 +68,7 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
-import queue as queue_mod
+import pickle
 import signal
 import threading
 import time
@@ -87,6 +91,7 @@ from repro.serve.fleet.errors import (
     RequestFailed,
     WorkerCrashed,
 )
+from repro.serve.fleet.ring import Ring
 from repro.serve.fleet.shm import EXIT_CORRUPT, SharedArtifact
 from repro.serve.fleet.worker import fleet_worker_main, resolve_worker_count
 from repro.serve.metrics import ServerMetrics
@@ -101,6 +106,9 @@ RUNNING = "running"
 BACKOFF = "backoff"
 BROKEN = "broken"
 STOPPED = "stopped"
+
+#: A numbered pipe item and where it goes: ``(conn, send_lock, item)``.
+_Send = Tuple[Optional[Connection], Any, Tuple[Any, ...]]
 
 
 def as_quantized_artifact(model: Any) -> QuantizedHDCModel:
@@ -131,7 +139,7 @@ class _Pending:
 
     __slots__ = (
         "rid", "kind", "rows", "deadline", "enqueued", "future", "worker",
-        "attempts", "ctx", "span",
+        "ring", "slot", "attempts", "ctx", "span",
     )
 
     def __init__(
@@ -148,6 +156,10 @@ class _Pending:
         self.enqueued = time.time()
         self.future: Future = Future()
         self.worker: Optional[_WorkerHandle] = None
+        # The ring (worker generation) it was sent to, and its request
+        # slot there (-1: sent over the pipe).
+        self.ring: Optional[Ring] = None
+        self.slot = -1
         self.attempts = 0
         self.ctx = ctx
         self.span: Optional[Any] = None  # live "dispatch" span, if sampled
@@ -156,21 +168,23 @@ class _Pending:
 class _WorkerHandle:
     """Supervisor-side record of one worker slot (mutated under the fleet
     lock).  The slot outlives individual processes: a restart bumps
-    ``generation`` and replaces the process/queue/pipe wholesale, so a
-    SIGKILL-corrupted channel can never be reused."""
+    ``generation`` and replaces the process/ring/pipe wholesale, so a
+    SIGKILL-corrupted channel can never be reused.  ``send_lock``
+    serializes pipe writes, which happen outside the fleet lock."""
 
     __slots__ = (
-        "index", "generation", "process", "queue", "conn", "state", "epoch",
-        "assigned", "restart_log", "restart_at", "started_at", "n_restarts",
-        "last_exitcode", "ready_at",
+        "index", "generation", "process", "ring", "conn", "send_lock",
+        "state", "epoch", "assigned", "restart_log", "restart_at",
+        "started_at", "n_restarts", "last_exitcode", "ready_at",
     )
 
     def __init__(self, index: int) -> None:
         self.index = index
         self.generation = 0
         self.process: Optional[Any] = None
-        self.queue: Optional[Any] = None
+        self.ring: Optional[Ring] = None
         self.conn: Optional[Connection] = None
+        self.send_lock = threading.Lock()
         self.state = BACKOFF
         self.epoch = 0
         self.assigned = 0
@@ -217,10 +231,10 @@ class FleetServer:
         Worker processes (``-1``/``None`` → every visible core, the
         engine's ``resolve_n_jobs`` semantics).
     queue_depth:
-        Bounded per-worker request queue length — the admission-control
-        knob.  Total fleet capacity is ``n_workers * queue_depth``
-        queued + in-flight requests; beyond it submits shed with
-        :class:`Overloaded`.
+        Unanswered requests each worker may hold — the admission-control
+        knob, and the slot count of each worker's rings.  Total fleet
+        capacity is ``n_workers * queue_depth`` queued + in-flight
+        requests; beyond it submits shed with :class:`Overloaded`.
     default_timeout_s:
         Request deadline when the caller does not pass one.
     heartbeat_interval_s / hang_timeout_s:
@@ -246,7 +260,7 @@ class FleetServer:
         available — restart latency is a recovery-time budget item).
     obs:
         Optional :class:`repro.obs.Observability` bundle.  Enables trace
-        propagation over the worker pipes (``ctx=`` on the submit
+        propagation to the workers (``ctx=`` on the submit
         methods), publishes fleet counters and per-worker gauges into
         the bundle's registry, forwards its ``flight_dir`` to the worker
         processes, and dumps the flight recorder on worker death,
@@ -315,6 +329,7 @@ class FleetServer:
         self._closed = False
         self._closed_event = threading.Event()
         self._n_features = int(artifact.n_features_)
+        self._n_classes = len(artifact.classes_)
         self._epoch = 1
         self._artifact = SharedArtifact.publish(artifact, epoch=self._epoch)
         self._worker_config: Dict[str, Any] = {
@@ -358,7 +373,7 @@ class FleetServer:
 
     def _register_fleet_gauges(self, obs: "Observability") -> None:
         """Pull-style fleet gauges: refreshed by a registry collector at
-        scrape time, so per-worker queue depth and topology are always
+        scrape time, so per-worker load and topology are always
         current without a background publisher thread."""
         reg = obs.registry
         g_running = reg.gauge(
@@ -414,17 +429,20 @@ class FleetServer:
             handle.state = STARTING
             handle.started_at = time.time()
             handle.process = None
-            handle.queue = None
+            handle.ring = None
             handle.conn = None
             generation = handle.generation
             shm_name = self._artifact.name
-        request_queue = self._ctx.Queue(maxsize=self.queue_depth)
-        parent_conn, child_conn = self._ctx.Pipe(duplex=False)
+        ring = Ring(
+            self.queue_depth, self._n_features, self._n_classes,
+            ctx=self._ctx,
+        )
+        parent_conn, child_conn = self._ctx.Pipe()
         self._heartbeat[index] = time.time()
         process = self._ctx.Process(
             target=fleet_worker_main,
             args=(
-                index, generation, shm_name, request_queue, child_conn,
+                index, generation, shm_name, ring, child_conn,
                 self._heartbeat, self._worker_config,
             ),
             name=f"repro-fleet-worker-{index}",
@@ -445,7 +463,7 @@ class FleetServer:
             )
             if not stale:
                 handle.process = process
-                handle.queue = request_queue
+                handle.ring = ring
                 handle.conn = parent_conn
         if stale:  # pragma: no cover - raced a restart or close()
             process.kill()
@@ -454,8 +472,6 @@ class FleetServer:
                 parent_conn.close()
             except OSError:
                 pass
-            request_queue.cancel_join_thread()
-            request_queue.close()
 
     # -------------------------------------------------------------- admission
 
@@ -465,10 +481,19 @@ class FleetServer:
         return admit(X, self._n_features)
 
     def _dispatch_to(
-        self, pending: _Pending, candidates: Sequence[_WorkerHandle]
+        self,
+        pending: _Pending,
+        candidates: Sequence[_WorkerHandle],
+        sends: List[_Send],
     ) -> bool:
-        """Queue ``pending`` on the least-loaded candidate (caller holds
-        the fleet lock).  Returns False when every queue refused."""
+        """Send ``pending`` to the least-loaded candidate (caller holds
+        the fleet lock).  Returns False when every candidate already
+        holds ``queue_depth`` unanswered requests.
+
+        The request is published in the worker's ring; when it cannot be
+        (see :meth:`Ring.push`) its pipe item is appended to ``sends``,
+        which the caller delivers with :meth:`_send` after releasing the
+        lock."""
         trace: Optional[TraceContext] = None
         if (
             pending.ctx is not None
@@ -486,25 +511,55 @@ class FleetServer:
             )
             pending.span = span
             trace = span.context
-        for handle in sorted(candidates, key=lambda h: h.assigned):
-            if handle.queue is None:
-                continue
+        handle = min(candidates, key=lambda h: h.assigned, default=None)
+        if handle is None or handle.assigned >= self.queue_depth:
+            if pending.span is not None:
+                pending.span.end("no-worker")
+                pending.span = None
+            return False
+        ring = handle.ring
+        assert ring is not None  # every RUNNING worker has its ring
+        slot = ring.push(
+            pending.rid, pending.kind, pending.rows, pending.deadline,
+            pending.enqueued, trace,
+        )
+        if slot < 0:
+            sends.append(self._pipe_send(handle, (
+                "req", pending.rid, pending.kind, pending.rows,
+                pending.deadline, pending.enqueued, trace, -1,
+            )))
+        pending.worker = handle
+        pending.ring = ring
+        pending.slot = slot
+        handle.assigned += 1
+        return True
+
+    @staticmethod
+    def _pipe_send(
+        handle: _WorkerHandle, message: Tuple[Any, ...]
+    ) -> _Send:
+        """Number ``message`` in ``handle``'s inbound order (caller holds
+        the fleet lock); deliver the result with :meth:`_send`."""
+        assert handle.ring is not None
+        return handle.conn, handle.send_lock, handle.ring.pipe_item(message)
+
+    @staticmethod
+    def _send(sends: Sequence[_Send]) -> List[bool]:
+        """Write numbered pipe items, outside the fleet lock.  An item
+        whose worker is gone is dropped: that worker's death handling
+        owns whatever it held."""
+        delivered = []
+        for conn, send_lock, item in sends:
             try:
-                handle.queue.put_nowait(
-                    ("req", pending.rid, pending.kind, pending.rows,
-                     pending.deadline, pending.enqueued, trace)
-                )
-            except queue_mod.Full:
-                continue
-            except (ValueError, OSError):  # pragma: no cover - closed queue
-                continue
-            pending.worker = handle
-            handle.assigned += 1
-            return True
-        if pending.span is not None:
-            pending.span.end("no-worker")
-            pending.span = None
-        return False
+                with send_lock:
+                    if conn is None:
+                        raise OSError("worker pipe closed")
+                    conn.send(item)
+            except OSError:
+                delivered.append(False)
+            else:
+                delivered.append(True)
+        return delivered
 
     def _submit(
         self,
@@ -518,13 +573,14 @@ class FleetServer:
             self.default_timeout_s if timeout is None else float(timeout)
         )
         pending = _Pending(kind, rows, time.time() + timeout_s, ctx)
+        sends: List[_Send] = []
         with self._lock:
             if self._closed:
                 raise FleetClosed("FleetServer is closed")
             pending.rid = self._next_rid
             self._next_rid += 1
             candidates = [h for h in self._workers if h.state == RUNNING]
-            dispatched = self._dispatch_to(pending, candidates)
+            dispatched = self._dispatch_to(pending, candidates, sends)
             if dispatched:
                 self._pending[pending.rid] = pending
             n_candidates = len(candidates)
@@ -532,8 +588,9 @@ class FleetServer:
             self.metrics.record_shed()
             raise Overloaded(
                 f"admission control: {n_candidates} running worker(s), "
-                f"every queue at depth {self.queue_depth}"
+                f"each holding {self.queue_depth} unanswered requests"
             )
+        self._send(sends)
         return pending.future
 
     def submit_predict(
@@ -579,10 +636,12 @@ class FleetServer:
     def _collect_loop(self) -> None:
         while not self._closed_event.is_set():
             with self._lock:
-                conns: Dict[Connection, _WorkerHandle] = {
-                    h.conn: h
+                conns: Dict[Connection, Tuple[_WorkerHandle, Ring]] = {
+                    h.conn: (h, h.ring)
                     for h in self._workers
-                    if h.conn is not None and h.state in (STARTING, RUNNING)
+                    if h.conn is not None
+                    and h.ring is not None
+                    and h.state in (STARTING, RUNNING)
                 }
             if not conns:
                 self._closed_event.wait(0.02)
@@ -592,29 +651,27 @@ class FleetServer:
             except OSError:  # pragma: no cover - conn torn down mid-wait
                 continue
             for conn in ready:
-                handle = conns[conn]
+                handle, ring = conns[conn]
                 try:
                     message = conn.recv()
                 except Exception:  # noqa: BLE001 - EOF/garbage from a kill
                     with self._lock:
                         if handle.conn is conn:
                             handle.conn = None
-                    try:
-                        conn.close()
-                    except OSError:  # pragma: no cover
-                        pass
+                    self._close_conn(handle, conn)
                     continue
-                self._on_message(handle, message)
+                self._on_message(handle, ring, message)
 
     def _on_message(
-        self, handle: _WorkerHandle, message: Tuple[Any, ...]
+        self, handle: _WorkerHandle, ring: Ring, message: Tuple[Any, ...]
     ) -> None:
         tag = message[0]
         if tag == "res":
-            self._on_response(handle, message)
+            self._on_response(ring, message)
         elif tag == "ready":
             _, index, generation, epoch = message
             redispatched: List[_Pending] = []
+            sends: List[_Send] = []
             with self._lock:
                 if handle.generation == generation:
                     handle.state = RUNNING
@@ -629,10 +686,11 @@ class FleetServer:
                         if p.worker is None
                     ]
                     for pending in parked:
-                        if self._dispatch_to(pending, (handle,)):
+                        if self._dispatch_to(pending, (handle,), sends):
                             pending.attempts += 1
                             redispatched.append(pending)
                 self._state_cond.notify_all()
+            self._send(sends)
             for pending in redispatched:
                 self.metrics.record_retry()
                 self._record_retry_span(pending)
@@ -667,28 +725,41 @@ class FleetServer:
             # (the worker exits with EXIT_CORRUPT right after reporting).
             artifact.restore_pristine()
 
-    def _on_response(
-        self, handle: _WorkerHandle, message: Tuple[Any, ...]
-    ) -> None:
-        """Settle one worker batch reply: its requests leave the pending
-        table under one lock acquisition, and its latencies, stage split
-        and batch size are recorded once."""
+    def _on_response(self, ring: Ring, message: Tuple[Any, ...]) -> None:
+        """Settle one worker batch reply that came with ``ring``'s
+        worker generation: results left in reply slots are copied out,
+        its requests leave the pending table and free their slots under
+        one lock acquisition, and its latencies, stage split and batch
+        size are recorded once."""
         _, replies, meta = message
+        # A reply slot stays this thread's until it releases the slot
+        # below, so results are copied out before taking the lock.
+        replies = [
+            (rid, status, ring.read_reply(payload))
+            if status == "ok" and isinstance(payload, int)
+            else (rid, status, payload)
+            for rid, status, payload in replies
+        ]
         settled: List[Tuple[_Pending, str, Any]] = []
         spans: List[Tuple[Any, str]] = []
         with self._lock:
             for rid, status, payload in replies:
                 pending = self._pending.get(rid)
-                if pending is None or pending.worker is not handle:
-                    # Late/duplicate answer from a worker we already
-                    # failed, or from one whose request was re-dispatched
+                if pending is None or pending.ring is not ring:
+                    # Late/duplicate answer from a worker generation we
+                    # already failed, or for a request re-dispatched
                     # elsewhere.  Leave a re-dispatched pending in place:
-                    # the worker it now belongs to owns the answer
+                    # the generation it now belongs to owns the answer
                     # (accepting the stale one here would leak the new
-                    # owner's ``assigned`` slot).
+                    # owner's ``assigned`` slot, and its payload may sit
+                    # in the old generation's reply slot).
                     continue
                 del self._pending[rid]
+                handle = pending.worker
+                assert handle is not None
                 handle.assigned = max(handle.assigned - 1, 0)
+                if pending.slot >= 0:
+                    ring.release(pending.slot)
                 settled.append((pending, status, payload))
                 if pending.span is not None:
                     spans.append((pending.span, str(status)))
@@ -851,9 +922,10 @@ class FleetServer:
             handle.assigned = 0
             handle.last_exitcode = exitcode
             handle.ready_at = None
-            old_queue = handle.queue
             old_conn = handle.conn
-            handle.queue = None
+            # The ring goes with the generation: its pending requests are
+            # retried below, and a stale reply can no longer be settled.
+            handle.ring = None
             handle.conn = None
             handle.process = None
             now = time.time()
@@ -900,14 +972,17 @@ class FleetServer:
             if self.obs is not None:
                 self.obs.dump_flight("breaker-trip")
         if old_conn is not None:
+            self._close_conn(handle, old_conn)
+        self._retry_or_fail(victims)
+
+    @staticmethod
+    def _close_conn(handle: _WorkerHandle, conn: Connection) -> None:
+        """Close a worker pipe once no pipe write to it is in progress."""
+        with handle.send_lock:
             try:
-                old_conn.close()
+                conn.close()
             except OSError:  # pragma: no cover
                 pass
-        if old_queue is not None:
-            old_queue.cancel_join_thread()
-            old_queue.close()
-        self._retry_or_fail(victims)
 
     def _retry_or_fail(self, victims: List[_Pending]) -> None:
         """Re-dispatch a dead worker's in-flight requests on survivors.
@@ -922,6 +997,7 @@ class FleetServer:
         """
         for pending in victims:
             outcome = "fail"
+            sends: List[_Send] = []
             retryable = (
                 self.retry_on_worker_loss
                 and pending.kind == PREDICT
@@ -938,10 +1014,12 @@ class FleetServer:
                     else:
                         self._end_dispatch_span(pending, "worker-lost")
                         pending.worker = None
+                        pending.ring = None
+                        pending.slot = -1
                         candidates = [
                             h for h in self._workers if h.state == RUNNING
                         ]
-                        if self._dispatch_to(pending, candidates):
+                        if self._dispatch_to(pending, candidates, sends):
                             pending.attempts += 1
                             outcome = "retried"
                         else:
@@ -953,6 +1031,7 @@ class FleetServer:
                     else:
                         self._end_dispatch_span(pending, "worker-lost")
             if outcome == "retried":
+                self._send(sends)
                 self.metrics.record_retry()
                 self._record_retry_span(pending)
                 continue
@@ -1004,6 +1083,7 @@ class FleetServer:
         new_artifact: Optional[SharedArtifact] = None
         try:
             new_artifact = SharedArtifact.publish(artifact, epoch=new_epoch)
+            reload = ("reload", new_epoch, new_artifact.name)
             with self._lock:
                 targets = [
                     h for h in self._workers if h.state == RUNNING
@@ -1013,18 +1093,12 @@ class FleetServer:
                 state["waiting"] = {
                     (h.index, h.generation) for h in targets
                 }
-            send_failures: List[Tuple[int, str]] = []
-            for handle in targets:
-                try:
-                    assert handle.queue is not None
-                    handle.queue.put(
-                        ("reload", new_epoch, new_artifact.name),
-                        timeout=2.0,
-                    )
-                except (queue_mod.Full, ValueError, OSError, AssertionError):
-                    send_failures.append(
-                        (handle.index, "reload message not deliverable")
-                    )
+                sends = [self._pipe_send(h, reload) for h in targets]
+            send_failures = [
+                (handle.index, "reload message not deliverable")
+                for handle, delivered in zip(targets, self._send(sends))
+                if not delivered
+            ]
             with self._lock:
                 state = self._swap_state
                 assert state is not None
@@ -1064,18 +1138,15 @@ class FleetServer:
             with self._lock:
                 last_good = self._artifact.name
                 last_epoch = self._epoch
-                acked = [
-                    h for h in self._workers
+                rollback = ("reload", last_epoch, last_good)
+                sends = [
+                    self._pipe_send(h, rollback)
+                    for h in self._workers
                     if h.state == RUNNING and h.epoch == new_epoch
                 ]
-            for handle in acked:
-                try:
-                    assert handle.queue is not None
-                    handle.queue.put(
-                        ("reload", last_epoch, last_good), timeout=2.0
-                    )
-                except (queue_mod.Full, ValueError, OSError, AssertionError):
-                    pass  # the worker will be restarted by the watchdog
+            # A worker whose rollback is not delivered is gone; the
+            # watchdog restarts it onto the last-good epoch.
+            self._send(sends)
             new_artifact.unlink()
             new_artifact.close()
             self.metrics.record_problem(
@@ -1136,16 +1207,16 @@ class FleetServer:
 
     def inject_chaos(self, index: int, directive: Dict[str, Any]) -> bool:
         """Deliver a chaos directive to worker ``index`` (test harness)."""
+        message = ("chaos", dict(directive))
+        # A numbered item that never arrives would stall the worker, so
+        # an unpicklable directive fails here, before it is numbered.
+        pickle.dumps(message)
         with self._lock:
             handle = self._workers[index]
-            target_queue = handle.queue if handle.state == RUNNING else None
-        if target_queue is None:
-            return False
-        try:
-            target_queue.put(("chaos", dict(directive)), timeout=2.0)
-            return True
-        except (queue_mod.Full, ValueError, OSError):
-            return False
+            if handle.state != RUNNING:
+                return False
+            send = self._pipe_send(handle, message)
+        return self._send([send])[0]
 
     def kill_worker(self, index: int) -> Optional[int]:
         """SIGKILL worker ``index`` (chaos surface); returns the pid."""
@@ -1194,6 +1265,10 @@ class FleetServer:
             pending = list(self._pending.values())
             self._pending.clear()
             workers = list(self._workers)
+            stops = [
+                self._pipe_send(h, ("stop",))
+                for h in workers if h.ring is not None
+            ]
             for handle in workers:
                 handle.state = STOPPED
         self._closed_event.set()
@@ -1206,12 +1281,15 @@ class FleetServer:
                 item.future.set_exception(
                     FleetClosed("FleetServer closed with request in flight")
                 )
-        for handle in workers:
-            if handle.queue is not None:
-                try:
-                    handle.queue.put_nowait(("stop",))
-                except (queue_mod.Full, ValueError, OSError):
-                    pass
+        # ``stop`` takes the pipe, so it reaches a worker whose ring is
+        # full; the worker exits once it has answered what it holds.  It
+        # is written on its own thread: a worker that stopped reading with
+        # its pipe full blocks the write until it is killed below.
+        stopper = threading.Thread(
+            target=self._send, args=(stops,), name="repro-fleet-stop",
+            daemon=True,
+        )
+        stopper.start()
         for thread in (self._collector, self._watchdog):
             if thread.is_alive():
                 thread.join(timeout=timeout_s)
@@ -1224,17 +1302,12 @@ class FleetServer:
             if process.is_alive():
                 process.kill()
                 process.join(timeout=1.0)
+        stopper.join(timeout=1.0)
         for handle in workers:
             if handle.conn is not None:
-                try:
-                    handle.conn.close()
-                except OSError:  # pragma: no cover
-                    pass
+                self._close_conn(handle, handle.conn)
                 handle.conn = None
-            if handle.queue is not None:
-                handle.queue.cancel_join_thread()
-                handle.queue.close()
-                handle.queue = None
+            handle.ring = None
             handle.process = None
         try:
             self._artifact.unlink()

@@ -5,10 +5,10 @@ BLAS to one thread (the fleet scales by processes, see
 :func:`~repro.engine.executor.pin_blas_threads`), maps the published
 :class:`~repro.serve.fleet.shm.SharedArtifact` zero-copy, rebuilds the
 deploy model over views into the segment, and then loops: stamp a
-heartbeat, block for one message on its bounded request queue, act.
+heartbeat, wait for the next inbound item, act.
 
-A request starts a **micro-batch**: the worker drains every request
-already queued behind it and hands them all to the serving core
+A request starts a **micro-batch**: the worker takes every request
+already published behind it and hands them all to the serving core
 (:func:`repro.serve.core.score_requests`, the one
 :class:`~repro.serve.server.ModelServer` uses too).  The core runs one
 encode→score pass of the artifact's
@@ -17,39 +17,56 @@ timing the two stages, and splits the results back by each request's row
 count; the worker answers the whole batch with one reply (paced replies
 under a delay, below).  When the batch pass raises, each request is
 scored alone through the same core, so an error stays with the request
-that caused it.  A batch is whatever was queued, so the queue depth
-bounds it.  A control message ends the batch in front of it and runs
-after that batch, so requests queued before a ``reload`` are scored by
+that caused it.  A batch is whatever was published and unanswered, so
+the fleet's admission bound (``queue_depth`` unanswered requests per
+worker) bounds it.  A control message ends the batch in front of it and
+runs after that batch, so requests sent before a ``reload`` are scored by
 the old epoch.
 
-The protocol is deliberately tiny (plain tuples over one ``mp.Queue`` in
-and one pipe out, per worker — a SIGKILLed worker can only corrupt *its
-own* channels, which the supervisor discards wholesale on restart):
+The protocol (see :mod:`repro.serve.fleet.ring`).  Each worker
+generation gets one :class:`~repro.serve.fleet.ring.Ring` -- a shared
+block of ``queue_depth`` request slots and as many reply slots, plus a
+doorbell semaphore -- and one duplex pipe.  A SIGKILLed worker can only
+corrupt *its own* ring and pipe, which the supervisor discards wholesale
+on restart.  Every inbound item carries one sequence number, and the
+worker acts on the items in that order, whichever way they travel:
 
-- ``("req", rid, kind, rows, deadline, enqueued, trace)`` — score
+- ``("req", rid, kind, rows, deadline, enqueued, trace, slot)`` -- score
   ``rows`` (``kind`` is :data:`~repro.serve.core.PREDICT` or
   :data:`~repro.serve.core.SCORES`) unless ``deadline`` (unix seconds)
   has passed by the time it is answered.  ``trace`` is an optional
-  :class:`~repro.obs.trace.TraceContext` tuple riding the request;
-- ``("res", replies, meta)`` — a reply: one per batch, or one per
-  request of a delayed batch.  ``replies`` holds one
-  ``(rid, status, payload)`` per request answered: ``"ok"`` with the
-  request's result rows, ``"deadline"`` with ``None`` for a request
-  whose deadline passed before it was answered, or ``"error"`` with the
-  exception's repr.  ``meta`` rides the first reply of a scored batch
-  and is ``None`` otherwise; it is a dict: ``n_rows`` (rows scored), the
-  ``encode_s`` / ``score_s`` stage split the core timed (absent when the
-  batch pass raised), and, for sampled traces, the worker's finished
-  span dicts under ``"spans"`` for the supervisor's tracer to ingest;
-- ``("reload", epoch, shm_name)`` — fleet hot-swap: attach the new
+  :class:`~repro.obs.trace.TraceContext`.  A request of at most
+  :data:`~repro.serve.fleet.ring.SLOT_ROWS` rows arrives in request slot
+  ``slot``, header and rows read in place; a larger one (or one whose
+  slot was still held) arrives pickled on the pipe with ``slot`` ``-1``;
+- ``("reload", epoch, shm_name)`` -- fleet hot-swap: attach the new
   segment, rebuild, ack ``("reloaded", ...)`` or
   ``("reload-failed", ...)``.  After a successful reload the worker
   closes the mappings it no longer serves; one still pinned by a live
   array view (``BufferError``) is closed at a later reload;
-- ``("chaos", directive)`` — fault injection (see
+- ``("chaos", directive)`` -- fault injection (see
   :mod:`repro.serve.chaos`): hang without heartbeats, exit with a given
   code, or add per-request latency;
-- ``("stop",)`` — clean exit.
+- ``("stop",)`` -- clean exit.
+
+Control messages always take the pipe, so they never wait for a slot.
+Outbound, on the pipe:
+
+- ``("res", replies, meta)`` -- a reply: one per batch, or one per
+  request of a delayed batch.  ``replies`` holds one
+  ``(rid, status, payload)`` per request answered: ``"ok"`` with the
+  request's result rows, ``"deadline"`` with ``None`` for a request
+  whose deadline passed before it was answered, or ``"error"`` with the
+  exception's repr.  A numeric result that fits is written into the
+  request's reply slot before the message is sent, and its payload is
+  that slot's number; any other result rides in the message.  ``meta``
+  rides the first reply of a scored batch and is ``None`` otherwise; it
+  is a dict: ``n_rows`` (rows scored), the ``encode_s`` / ``score_s``
+  stage split the core timed (absent when the batch pass raised), and,
+  for sampled traces, the worker's finished span dicts under
+  ``"spans"`` for the supervisor's tracer to ingest;
+- ``("ready", ...)``, ``("reloaded", ...)``, ``("reload-failed", ...)``
+  and ``("corrupt", ...)`` -- lifecycle reports.
 
 The service floor and the chaos ``slow`` delay stay per request: a batch
 of ``k`` live requests sleeps ``k`` times the delay.  The batch is scored
@@ -74,7 +91,6 @@ supervisor cannot reconstruct from its own side.
 from __future__ import annotations
 
 import os
-import queue as queue_mod
 import time
 from multiprocessing.connection import Connection
 from typing import Any, Dict, List, Optional, Tuple
@@ -83,6 +99,7 @@ from repro.engine.executor import pin_blas_threads, resolve_n_jobs
 from repro.obs.recorder import FlightRecorder
 from repro.obs.trace import TraceContext, span_record
 from repro.serve.core import score_requests
+from repro.serve.fleet.ring import Ring
 from repro.serve.fleet.shm import EXIT_CORRUPT, SharedArtifact
 
 #: Largest single sleep slice while idling/delaying — heartbeats must keep
@@ -90,7 +107,7 @@ from repro.serve.fleet.shm import EXIT_CORRUPT, SharedArtifact
 #: hangs.
 _SLICE_S = 0.02
 
-#: One queued message, as the supervisor sent it.
+#: One inbound item, as :meth:`Ring.take` returns it.
 Message = Tuple[Any, ...]
 
 
@@ -108,16 +125,15 @@ def _sleep_until(until: float, heartbeat: Any, index: int) -> None:
         time.sleep(min(remaining, _SLICE_S))
 
 
-def _drain(requests: Any, batch: List[Message]) -> Optional[Message]:
-    """Append every request already queued to ``batch``.  Returns the
-    control message that ended the drain, or ``None`` when the queue ran
-    dry."""
+def _drain(
+    ring: Ring, conn: Connection, batch: List[Message]
+) -> Optional[Message]:
+    """Append every request already published to ``batch``.  Returns the
+    control message that ended the drain, or ``None`` when nothing more
+    has arrived."""
     while True:
-        try:
-            message = requests.get_nowait()
-        except queue_mod.Empty:
-            return None
-        if message[0] != "req":
+        message = ring.take(conn, 0)
+        if message is None or message[0] != "req":
             return message
         batch.append(message)
 
@@ -183,6 +199,7 @@ def _request_spans(
 
 def _serve_batch(
     model: Any,
+    ring: Ring,
     batch: List[Message],
     delay_s: float,
     heartbeat: Any,
@@ -196,10 +213,11 @@ def _serve_batch(
     ``k`` live requests are paced ``delay_s`` apart from the batch's
     start: the batch is scored once the first request's delay has
     passed, and each later request's reply is released as its own share
-    of the ``k × delay_s`` sleep elapses.  Clients then refill the queue
+    of the ``k × delay_s`` sleep elapses.  Clients then refill the ring
     while the worker still sleeps on the rest of the batch, so a worker
     under a delay never runs dry between batches.  The first reply
-    carries the batch's ``meta``.
+    carries the batch's ``meta``.  Numeric results go into the requests'
+    reply slots before any reply is sent.
     """
     replies: List[Tuple[int, str, Any]] = []
     live = _expire(batch, replies)
@@ -244,10 +262,12 @@ def _serve_batch(
         if recorder is not None:
             for span in spans:
                 recorder.record_span(span)
-    answers = [
-        (message[1], status, payload)
-        for message, (status, payload) in zip(live, outcomes)
-    ]
+    answers = []
+    for message, (status, payload) in zip(live, outcomes):
+        slot = message[7]
+        if status == "ok" and ring.write_reply(slot, payload):
+            payload = slot
+        answers.append((message[1], status, payload))
     if delay_s <= 0:
         send(("res", replies + answers, meta))
         return
@@ -265,8 +285,8 @@ def fleet_worker_main(
     index: int,
     generation: int,
     shm_name: str,
-    requests: Any,
-    responses: Connection,
+    ring: Ring,
+    conn: Connection,
     heartbeat: Any,
     config: Dict[str, Any],
 ) -> None:
@@ -294,12 +314,12 @@ def fleet_worker_main(
 
     artifact = SharedArtifact.attach(shm_name)
     if not artifact.verify():
-        responses.send(("corrupt", index, generation, artifact.epoch))
+        conn.send(("corrupt", index, generation, artifact.epoch))
         _dump_corrupt(artifact.epoch)
         os._exit(EXIT_CORRUPT)
     model = artifact.rebuild_model()
     _beat(heartbeat, index)
-    responses.send(("ready", index, generation, artifact.epoch))
+    conn.send(("ready", index, generation, artifact.epoch))
 
     ticks = 0
     # A control message that ended the last drain; it runs next.
@@ -309,24 +329,23 @@ def fleet_worker_main(
         ticks += 1
         if crc_check_every and ticks % crc_check_every == 0:
             if not artifact.verify():
-                responses.send(("corrupt", index, generation, artifact.epoch))
+                conn.send(("corrupt", index, generation, artifact.epoch))
                 _dump_corrupt(artifact.epoch)
                 os._exit(EXIT_CORRUPT)
         if held is not None:
             message, held = held, None
         else:
-            try:
-                message = requests.get(timeout=heartbeat_interval_s)
-            except queue_mod.Empty:
+            message = ring.take(conn, heartbeat_interval_s)
+            if message is None:
                 continue
         tag = message[0]
 
         if tag == "req":
             batch = [message]
-            held = _drain(requests, batch)
+            held = _drain(ring, conn, batch)
             _serve_batch(
-                model, batch, service_floor_s + chaos_delay_s,
-                heartbeat, index, recorder, responses.send,
+                model, ring, batch, service_floor_s + chaos_delay_s,
+                heartbeat, index, recorder, conn.send,
             )
 
         elif tag == "reload":
@@ -342,7 +361,7 @@ def fleet_worker_main(
             except Exception as exc:  # noqa: BLE001 - supervisor decides
                 if incoming is not None and not incoming.close():
                     retired.append(incoming)
-                responses.send(
+                conn.send(
                     ("reload-failed", index, generation, int(epoch),
                      repr(exc))
                 )
@@ -352,7 +371,7 @@ def fleet_worker_main(
                 retired.append(artifact)
                 artifact = incoming
                 retired = [old for old in retired if not old.close()]
-                responses.send(("reloaded", index, generation, int(epoch)))
+                conn.send(("reloaded", index, generation, int(epoch)))
 
         elif tag == "chaos":
             directive = message[1]
@@ -373,7 +392,7 @@ def fleet_worker_main(
         elif tag == "stop":
             break
 
-    responses.close()
+    conn.close()
 
 
 def resolve_worker_count(n_workers: Optional[int]) -> int:

@@ -24,6 +24,7 @@ from repro.serve.fleet import (
     as_quantized_artifact,
     resolve_worker_count,
 )
+from repro.serve.fleet.ring import SLOT_ROWS
 from repro.serve.fleet.server import BROKEN, RUNNING
 
 
@@ -86,6 +87,21 @@ class TestLifecycle:
         with pytest.raises(FleetClosed):
             fleet.predict(test_x[:1])
 
+    def test_spawned_worker_shares_its_ring(self, artifact, fitted):
+        # Under ``spawn`` a worker gets its ring pickled, not inherited by
+        # fork; the slots and the doorbell must still be the supervisor's.
+        _, test_x = fitted
+        with FleetServer(
+            artifact, n_workers=1, start_method="spawn"
+        ) as fleet:
+            np.testing.assert_array_equal(
+                fleet.predict(test_x[:1]), artifact.predict(test_x[:1])
+            )
+            rows = test_x[:SLOT_ROWS + 2]
+            np.testing.assert_allclose(
+                fleet.decision_scores(rows), artifact.decision_scores(rows)
+            )
+
     def test_close_idempotent(self, artifact):
         fleet = FleetServer(artifact, n_workers=1)
         fleet.close()
@@ -104,6 +120,24 @@ class TestLifecycle:
             assert info["epoch"] == 1
             assert info["workers"][0]["state"] == RUNNING
             assert info["workers"][0]["restarts"] == 0
+
+    def test_close_delivers_stop_to_a_full_worker(self, artifact, fitted):
+        # ``stop`` must not need room among the requests: a worker holding
+        # its full share of them still hears it and exits cleanly,
+        # instead of being waited out and killed.
+        _, test_x = fitted
+        fleet = FleetServer(artifact, n_workers=1, queue_depth=2)
+        process = fleet._workers[0].process
+        _hold_worker(fleet, test_x, 0.5)
+        for _ in range(2):
+            try:
+                fleet.submit_predict(test_x[:1])
+            except Overloaded:
+                pass
+        start = time.perf_counter()
+        fleet.close(timeout_s=3.0)
+        assert time.perf_counter() - start < 2.5
+        assert process.exitcode == 0
 
     def test_validates_request_shape(self, artifact, fitted):
         _, test_x = fitted
@@ -132,6 +166,24 @@ class TestAdmission:
             assert fleet.metrics.n_shed >= 1
             fleet.close(timeout_s=0.5)
 
+    def test_admits_exactly_queue_depth_unanswered(self, artifact, fitted):
+        # A batch the worker has taken but not answered still counts:
+        # with the worker asleep on its first request, exactly
+        # ``queue_depth`` requests are admitted in all.
+        _, test_x = fitted
+        with FleetServer(artifact, n_workers=1, queue_depth=4) as fleet:
+            blocker = _hold_worker(fleet, test_x, 0.5)
+            admitted = [blocker]
+            with pytest.raises(Overloaded):
+                for _ in range(8):
+                    admitted.append(fleet.submit_predict(test_x[:1]))
+            assert len(admitted) == 4
+            for future in admitted:
+                np.testing.assert_array_equal(
+                    future.result(timeout=10.0), artifact.predict(test_x[:1])
+                )
+            assert fleet.metrics.n_shed == 1
+
     def test_deadline_expired_in_queue(self, artifact, fitted):
         _, test_x = fitted
         with FleetServer(
@@ -150,7 +202,8 @@ class TestAdmission:
 
 
 class TestBatching:
-    """Workers score each drained queue as one micro-batch."""
+    """Workers score every request published to them as one
+    micro-batch."""
 
     def test_mixed_batch_matches_artifact_row_for_row(
         self, artifact, fitted
@@ -224,16 +277,16 @@ class TestBatching:
             artifact_v2.decision_scores(test_x[:8]),
         )
         with FleetServer(artifact, n_workers=1) as fleet:
-            request_queue = fleet._workers[0].queue
-            put = request_queue.put
+            send = fleet._send
             reload_queued = threading.Event()
 
-            def put_and_flag(message, *args, **kwargs):
-                put(message, *args, **kwargs)
-                if message[0] == "reload":
+            def send_and_flag(sends):
+                delivered = send(sends)
+                if any(item[1][0] == "reload" for _, _, item in sends):
                     reload_queued.set()
+                return delivered
 
-            monkeypatch.setattr(request_queue, "put", put_and_flag)
+            monkeypatch.setattr(fleet, "_send", send_and_flag)
             blocker = _hold_worker(fleet, test_x, 0.2)
             before = [
                 fleet.submit_decision_scores(test_x[i:i + 2]) for i in (0, 2)
@@ -260,6 +313,43 @@ class TestBatching:
                     future.result(timeout=10.0),
                     artifact_v2.decision_scores(test_x[i:i + 2]),
                 )
+
+    def test_request_larger_than_a_slot_keeps_rows_and_order(
+        self, artifact, fitted
+    ):
+        # A request with more rows than a slot holds travels over the
+        # pipe; queued between one-row requests it keeps its rows and
+        # its place in the batch.
+        _, test_x = fitted
+        big = test_x[:SLOT_ROWS + 3]
+        with FleetServer(artifact, n_workers=1) as fleet:
+            blocker = _hold_worker(fleet, test_x, 0.2)
+            requests = [
+                ("predict", test_x[20:21]),
+                ("predict", big),
+                ("scores", test_x[21:22]),
+                ("scores", big[::-1]),
+                ("predict", test_x[22:23]),
+            ]
+            futures = [
+                (fleet.submit_predict if kind == "predict"
+                 else fleet.submit_decision_scores)(rows)
+                for kind, rows in requests
+            ]
+            blocker.result(timeout=10.0)
+            for (kind, rows), future in zip(requests, futures):
+                result = future.result(timeout=10.0)
+                if kind == "predict":
+                    np.testing.assert_array_equal(
+                        result, artifact.predict(rows)
+                    )
+                else:
+                    np.testing.assert_allclose(
+                        result, artifact.decision_scores(rows)
+                    )
+            # All five in one batch, in order: 2 * (SLOT_ROWS + 3) + 3.
+            n_rows = 2 * len(big) + 3
+            assert fleet.stats()["batch_sizes"] == {"1": 1, str(n_rows): 1}
 
     def test_sigkill_of_worker_holding_a_batch_retries_it(
         self, artifact, fitted
@@ -528,13 +618,14 @@ class TestSupervisorRaces:
             pending.rid = 20_000
             with fleet._lock:
                 pending.worker = owner
+                pending.ring = owner.ring
                 owner.assigned += 1
                 fleet._pending[pending.rid] = pending
                 before = owner.assigned
 
             stale_meta = {"n_rows": 1, "encode_s": 1e-4, "score_s": 1e-4}
             fleet._on_response(
-                stale_sender,
+                stale_sender.ring,
                 ("res", [(pending.rid, "ok", "stale")], stale_meta),
             )
             assert not pending.future.done()
@@ -546,7 +637,7 @@ class TestSupervisorRaces:
             assert fleet.stats()["stages"] is None
 
             fleet._on_response(
-                owner, ("res", [(pending.rid, "ok", "fresh")], None)
+                owner.ring, ("res", [(pending.rid, "ok", "fresh")], None)
             )
             assert pending.future.result() == "fresh"
             with fleet._lock:
