@@ -23,6 +23,7 @@ import numpy as np
 from repro.backend import get_backend, resolve_dtype
 from repro.core.adaptive import adaptive_fit_iteration
 from repro.core.history import IterationRecord, TrainingHistory
+from repro.core.regeneration import refresh_columns
 from repro.engine.callbacks import ConvergenceCallback, EngineState, HistoryCallback
 from repro.engine.training import IterationContext, TrainingEngine
 from repro.estimator import BaseClassifier
@@ -147,8 +148,8 @@ class NeuralHDClassifier(BaseClassifier):
         shuffle_rng = as_rng(spawn_seed(rng))
 
         encoded = self.encoder_.encode(X)
-        # Row norms of the encoding, recomputed only when a regeneration
-        # rewrites its columns.
+        # Row norms of the encoding, refreshed (window by window) only when
+        # a regeneration rewrites its columns.
         norms = self.backend.norm(encoded, axis=1)
         if init_memory is not None:
             self.memory_.set_vectors(init_memory)
@@ -157,7 +158,6 @@ class NeuralHDClassifier(BaseClassifier):
         n_regen = int(round(self.regen_rate * self.dim))
 
         def step(context: IterationContext) -> IterationRecord:
-            nonlocal norms
             adaptive_fit_iteration(
                 self.memory_, encoded, y, lr=self.lr, shuffle_rng=shuffle_rng,
                 query_norms=norms,
@@ -172,11 +172,11 @@ class NeuralHDClassifier(BaseClassifier):
                 dims = np.sort(np.argsort(significance, kind="stable")[:n_regen])
                 self.encoder_.regenerate(dims)
                 self.memory_.reset_dimensions(dims)
-                fresh = self.encoder_.encode_dims(X, dims)
-                self.backend.set_columns(encoded, dims, fresh)
-                norms = self.backend.norm(encoded, axis=1)
-                if self.rebundle_on_regen:
-                    self.memory_.bundle_columns(y, dims, fresh)
+                refresh_columns(
+                    self.encoder_, X, dims, encoded, norms,
+                    memory=self.memory_ if self.rebundle_on_regen else None,
+                    labels=y,
+                )
                 regenerated = dims.size
 
             return IterationRecord(

@@ -15,7 +15,7 @@ this is the paper's guard against model saturation.
 for a whole batch are computed matrix-wise against the current model, and
 because every update coefficient comes from those batch-start similarities,
 the (typically few) mispredicted samples' updates commute and are applied as
-two grouped scatter-adds per mini-batch (no per-sample Python loop).  The
+one weight-matrix GEMM per mini-batch (no per-sample Python loop).  The
 paper's sequential semantics survive *between* batches: each batch sees the
 model as updated by all earlier batches.
 """
@@ -81,7 +81,7 @@ def adaptive_fit_iteration(
         Samples per similarity computation; within a batch, mispredicted
         samples apply their updates against similarities computed at batch
         start (the paper's matrix-wise grouping), so the whole batch is one
-        grouped scatter-add.  ``None`` processes the full set as one batch.
+        grouped update.  ``None`` processes the full set as one batch.
     shuffle_rng:
         Optional generator used to shuffle sample order each pass.
     query_norms:
@@ -113,7 +113,7 @@ def adaptive_fit_iteration(
 
     # A shuffle only matters when there is more than one mini-batch: with
     # the whole set as a single batch, every update coefficient comes from
-    # the same batch-start similarities and the grouped scatter-adds are
+    # the same batch-start similarities and the grouped update is
     # order-independent, so the permutation (and with it a full (n, D)
     # gather copy per pass) is skipped.  Unshuffled mini-batches likewise
     # use contiguous row views instead of index gathers.

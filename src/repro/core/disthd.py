@@ -24,7 +24,7 @@ import numpy as np
 from repro.core.adaptive import adaptive_fit_iteration
 from repro.core.config import DistHDConfig
 from repro.core.history import IterationRecord, TrainingHistory
-from repro.core.regeneration import regenerate_step
+from repro.core.regeneration import refresh_columns, regenerate_step
 from repro.core.topk import partition_outcomes
 from repro.engine.callbacks import ConvergenceCallback, EngineState, HistoryCallback
 from repro.engine.training import IterationContext, TrainingEngine
@@ -122,8 +122,8 @@ class DistHDClassifier(BaseClassifier):
 
         encoded = self.encoder_.encode(X)
         # Both passes of every iteration score this encoding, so its row
-        # norms are computed once per version of it: here, and after each
-        # regeneration rewrites columns.
+        # norms are computed once per version of it: here, and window by
+        # window as each regeneration rewrites columns.
         norms = backend.norm(encoded, axis=1)
         if init_memory is not None:
             self.memory_.set_vectors(init_memory)
@@ -131,7 +131,6 @@ class DistHDClassifier(BaseClassifier):
             self.memory_.accumulate(encoded, y)
 
         def step(context: IterationContext) -> IterationRecord:
-            nonlocal norms
             adaptive_fit_iteration(
                 self.memory_,
                 encoded,
@@ -156,13 +155,11 @@ class DistHDClassifier(BaseClassifier):
                 regenerated = report.n_regenerated
                 if regenerated:
                     # Refresh only the redrawn columns of the cached encoding.
-                    fresh = self.encoder_.encode_dims(X, report.dims)
-                    backend.set_columns(encoded, report.dims, fresh)
-                    norms = backend.norm(encoded, axis=1)
-                    if cfg.rebundle_on_regen:
-                        # Re-bundle the fresh columns so the regenerated
-                        # dimensions start trained instead of at zero.
-                        self.memory_.bundle_columns(y, report.dims, fresh)
+                    refresh_columns(
+                        self.encoder_, X, report.dims, encoded, norms,
+                        memory=self.memory_ if cfg.rebundle_on_regen else None,
+                        labels=y,
+                    )
 
             return IterationRecord(
                 iteration=context.iteration,

@@ -3,7 +3,7 @@
 Every HDC learner in the library stores one hypervector per class in an
 :class:`AssociativeMemory`.  The memory supports the bundling-style updates of
 single-pass training, the similarity-weighted updates of adaptive learning
-(including the grouped scatter-add form of Algorithm 1), querying (similarity
+(including Algorithm 1's grouped update as one GEMM), querying (similarity
 scores, top-k labels) and the dimension-reset operation dimension
 regeneration relies on.
 
@@ -295,23 +295,25 @@ class AssociativeMemory:
 
         All coefficients come from similarities computed *at batch start*
         (the paper's matrix-wise grouping), so the per-sample updates commute
-        and can be applied as two grouped scatter-adds instead of a Python
-        loop:
+        and fold into one ``(k, n_wrong)`` weight matrix ``W`` applied as a
+        single GEMM, ``C += W @ H``, instead of a Python loop:
 
             C_pred ← C_pred − η · (1 − δ(H, C_pred)) · H
             C_true ← C_true + η · (1 − δ(H, C_true)) · H
+
+        Column ``i`` of ``W`` holds sample ``i``'s two coefficients; a
+        sample whose predicted label equals its true label gets their sum
+        in one cell, as the two updates would add.
         """
         b = self.backend
-        H = self.as_encoded(encoded_wrong)
-        coeff_pred = b.asarray(-lr * (1.0 - sim_pred), dtype=self.dtype)
-        coeff_true = b.asarray(lr * (1.0 - sim_true), dtype=self.dtype)
-        H = b.asarray(H, dtype=self.dtype)
-        b.scatter_add_rows(
-            self._vectors, predicted, coeff_pred.reshape(-1, 1) * H
-        )
-        b.scatter_add_rows(
-            self._vectors, labels, coeff_true.reshape(-1, 1) * H
-        )
+        H = b.asarray(self.as_encoded(encoded_wrong), dtype=self.dtype)
+        predicted = np.asarray(predicted, dtype=np.int64)
+        labels = np.asarray(labels, dtype=np.int64)
+        samples = np.arange(predicted.size, dtype=np.int64)
+        weights = np.zeros((self.n_classes, predicted.size), dtype=self.dtype)
+        weights[predicted, samples] = -lr * (1.0 - np.asarray(sim_pred))
+        weights[labels, samples] += lr * (1.0 - np.asarray(sim_true))
+        self._vectors += b.matmul(b.asarray(weights, dtype=self.dtype), H)
         self.invalidate_caches()
 
     def bundle_columns(

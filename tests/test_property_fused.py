@@ -211,10 +211,13 @@ class TestChunkedQueriesMatchUnchunked:
 
 class TestCacheAwareColumnKernels:
     # Row strides that are 4 KiB multiples (1024 float32/float64, 512
-    # float64) take the 8-row window; the others (40, 1000, 512 float32)
-    # take the L2-sized one.
+    # float64) take the 8-row window; the others take a window of ~128 KiB
+    # of rows, at least 16 (768-4000 are the widths its rule was measured
+    # at).
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("width", [40, 512, 1000, 1024])
+    @pytest.mark.parametrize(
+        "width", [40, 512, 768, 1000, 1024, 1100, 1500, 4000]
+    )
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**16), n=st.integers(1, 300))
     def test_set_columns_matches_naive(self, width, dtype, seed, n):
@@ -244,6 +247,33 @@ class TestCacheAwareColumnKernels:
         ref = np.zeros((k, dim), np.float32)
         np.add.at(ref, (rows[:, None], cols[None, :]), vals)
         np.testing.assert_allclose(got, ref, rtol=1e-5, atol=1e-5)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16), m=st.integers(7, 200), alias=st.booleans()
+    )
+    def test_scatter_add_cells_increasing_columns_exact(self, seed, m, alias):
+        # Strictly increasing columns (regenerated dimensions) skip add.at;
+        # each cell still gets its grouped sum added once, bit for bit.  A
+        # leading negative index aliasing the last column keeps the order
+        # strictly increasing, yet both contributions must land, as add.at
+        # lands them.
+        rng = np.random.default_rng(seed)
+        b = get_backend("numpy")
+        k, dim = 6, 64
+        rows = rng.integers(0, k, size=m)
+        cols = np.sort(rng.choice(dim, size=20, replace=False))
+        if alias:
+            cols = np.concatenate([[cols[-1] - dim], cols])
+        vals = rng.normal(size=(m, cols.size)).astype(np.float32)
+        start = rng.normal(size=(k, dim)).astype(np.float32)
+        got = start.copy()
+        b.scatter_add_cells(got, rows, cols, vals)
+        onehot = np.zeros((k, m), np.float32)
+        onehot[rows, np.arange(m)] = 1.0
+        ref = start.copy()
+        np.add.at(ref, (np.arange(k)[:, None], cols[None, :]), onehot @ vals)
+        np.testing.assert_array_equal(got, ref)
 
     def test_scatter_add_cells_broadcast_values(self):
         # (1, n_cols) values broadcast across all updates, as add.at does.
