@@ -22,7 +22,7 @@ Two conventions let a custom instance stand in for the NumPy backend:
 from __future__ import annotations
 
 import abc
-from typing import Any, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
@@ -62,6 +62,39 @@ _CHUNK_ELEMENTS = 1 << 18
 def auto_chunk_rows(dim: int, elements: int = _CHUNK_ELEMENTS) -> int:
     """Rows per chunk targeting ``elements`` array entries for width ``dim``."""
     return max(16, elements // max(int(dim), 1))
+
+
+#: Encoded cells (rows × width) per row window of the training refresh
+#: and of artifact inference: 2 MiB at float32.  Each window pays a GEMM
+#: call (and, in the refresh, a ``(k, width)`` re-bundle scatter), so much
+#: smaller windows cost time (2x as many read ~10% slower per refresh at
+#: the perfbench train point).
+_REFRESH_ELEMENTS = 1 << 19
+#: At float32 a GEMM of ``w`` rows against ``m`` output columns rounds
+#: every entry as the full-batch GEMM does once ``w ≥ 2`` and
+#: ``w·m ≥ 2048`` (OpenBLAS 0.3.31, q = 54 and 561, pinned or threaded);
+#: smaller windows run a different kernel.
+_EXACT_GEMM_ELEMENTS = 2048
+
+
+def refresh_windows(n: int, width: int) -> List[Tuple[int, int]]:
+    """``(start, stop)`` row windows over ``n`` rows encoded ``width``
+    columns wide.
+
+    The one window rule of the library: the training refresh walks it
+    over the regenerated columns, and artifact inference
+    (:meth:`repro.deploy.StagedModel.staged_scores`) over the full
+    encoding.  Windows hold ``_REFRESH_ELEMENTS`` entries, and at least
+    as many as the full batch's GEMM needs to round alike; a shorter
+    tail joins the window before it.
+    """
+    width = max(int(width), 1)
+    floor = max(2, -(-_EXACT_GEMM_ELEMENTS // width))
+    rows = max(floor, _REFRESH_ELEMENTS // width)
+    starts = list(range(0, n, rows))
+    if len(starts) > 1 and n - starts[-1] < floor:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n]))
 
 
 class ArrayBackend(abc.ABC):

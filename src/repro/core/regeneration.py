@@ -38,10 +38,11 @@ Two scoring paths produce ``M'``/``N'``:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.backend.base import refresh_windows
 from repro.core.config import DistHDConfig
 from repro.core.topk import OutcomePartition
 from repro.hdc.encoders.base import RegenerableEncoder
@@ -395,36 +396,6 @@ def regenerate_step(
     )
 
 
-#: Entries (rows × regenerated dims) per refresh window: the window's
-#: fresh block is 2 MiB at float32, beside the ``(n, D)`` encoding.  Each
-#: window pays a GEMM call and a ``(k, len(dims))`` re-bundle scatter, so
-#: much smaller windows cost fit time (2x as many read ~10% slower per
-#: refresh at the perfbench train point).
-_REFRESH_ELEMENTS = 1 << 19
-#: At float32 a GEMM of ``w`` rows against ``m`` output columns rounds
-#: every entry as the full-batch GEMM does once ``w ≥ 2`` and
-#: ``w·m ≥ 2048`` (OpenBLAS 0.3.31, q = 54 and 561, pinned or threaded);
-#: smaller windows run a different kernel.
-_EXACT_GEMM_ELEMENTS = 2048
-
-
-def refresh_windows(n: int, width: int) -> List[Tuple[int, int]]:
-    """``(start, stop)`` row windows for refreshing ``width`` columns of
-    ``n`` rows.
-
-    Windows hold ``_REFRESH_ELEMENTS`` entries, and at least as many as
-    the full batch's GEMM needs to round alike; a shorter tail joins the
-    window before it.
-    """
-    width = max(int(width), 1)
-    floor = max(2, -(-_EXACT_GEMM_ELEMENTS // width))
-    rows = max(floor, _REFRESH_ELEMENTS // width)
-    starts = list(range(0, n, rows))
-    if len(starts) > 1 and n - starts[-1] < floor:
-        starts.pop()
-    return list(zip(starts, starts[1:] + [n]))
-
-
 def refresh_columns(
     encoder: RegenerableEncoder,
     X,
@@ -437,12 +408,12 @@ def refresh_columns(
 ) -> None:
     """Refresh a cached encoding after ``encoder`` regenerated ``dims``.
 
-    Per row window of :func:`refresh_windows`: encode the regenerated
-    dims, scatter them into that window of ``encoded``, recompute its row
-    ``norms`` right after, and, when ``memory`` is given, re-bundle the
-    window's fresh columns into its ``labels``' class rows so the
-    regenerated dimensions start trained instead of at zero.  No
-    ``(n, len(dims))`` block is built.
+    Per row window of :func:`~repro.backend.base.refresh_windows`: encode
+    the regenerated dims, scatter them into that window of ``encoded``,
+    recompute its row ``norms`` right after, and, when ``memory`` is
+    given, re-bundle the window's fresh columns into its ``labels``' class
+    rows so the regenerated dimensions start trained instead of at zero.
+    No ``(n, len(dims))`` block is built.
 
     Against a full-batch ``encode_dims`` / ``set_columns`` / row-norm
     refresh of a row-major ``encoded`` (every training encoding is one):

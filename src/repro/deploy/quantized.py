@@ -34,7 +34,10 @@ from repro.hdc.packed import flip_packed_bits, pack_code_rows, unpack_rows
 from repro.noise.bitflip import flip_bits
 from repro.noise.quantization import QuantizedTensor, dequantize, quantize
 from repro.utils.rng import SeedLike, as_rng
-from repro.utils.validation import check_probability
+from repro.utils.validation import (
+    check_optional_positive_int,
+    check_probability,
+)
 
 
 class QuantizedHDCModel(StagedModel):
@@ -53,9 +56,11 @@ class QuantizedHDCModel(StagedModel):
     bits:
         Class-memory precision (1, 2, 4 or 8).
     chunk_size:
-        Stream queries through encode-then-score in row chunks of this
-        size, bounding inference memory on the (typically RAM-constrained)
-        deployment target.  ``None`` scores the whole batch at once.
+        Rows per inference window.  Queries always stream through
+        encode-then-score one window at a time, bounding inference memory
+        on the (typically RAM-constrained) deployment target; ``None``
+        takes the library's window rule (2^19 encoded cells, 128 rows at
+        D = 4096; see :class:`~repro.deploy.staged.StagedModel`).
     packed:
         Store the 1-bit class memory bit-packed (64 cells per ``uint64``
         word) and run inference entirely in the packed domain: queries are
@@ -96,10 +101,7 @@ class QuantizedHDCModel(StagedModel):
                 "QuantizedHDCModel needs a fitted HDC classifier with "
                 "encoder_, memory_ and classes_"
             )
-        if chunk_size is not None and chunk_size <= 0:
-            raise ValueError(
-                f"chunk_size must be positive or None, got {chunk_size}"
-            )
+        chunk_size = check_optional_positive_int(chunk_size, "chunk_size")
         if packed and int(bits) != 1:
             raise ValueError(
                 f"packed=True requires bits=1 (a packed cell is one bit), "
@@ -247,6 +249,10 @@ class QuantizedHDCModel(StagedModel):
 
     # ------------------------------------------------------------- inference
 
+    @property
+    def encoded_dim(self) -> int:
+        return int(self.encoder.dim)
+
     def encode(self, X: Any) -> Any:
         """The encoder stage: the frozen encoder's validating ``encode``."""
         return self.encoder.encode(X)
@@ -356,6 +362,9 @@ class QuantizedTrainer:
         ``memory_`` / ``classes_`` after fitting).
     bits:
         Class-memory precision (1, 2, 4 or 8).
+    chunk_size:
+        Rows per inference window of the frozen model (``None``: the
+        library's window rule; see :class:`QuantizedHDCModel`).
     packed:
         Freeze bit-packed and score in the packed domain (requires
         ``bits=1``; see :class:`QuantizedHDCModel`).
@@ -372,7 +381,7 @@ class QuantizedTrainer:
             )
         self.classifier = classifier
         self.bits = int(bits)
-        self.chunk_size = chunk_size
+        self.chunk_size = check_optional_positive_int(chunk_size, "chunk_size")
         self.packed = bool(packed)
         self.deployed_: Optional[QuantizedHDCModel] = None
 

@@ -21,19 +21,29 @@ from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
+from repro.backend.base import refresh_windows
+
 
 class StagedModel(abc.ABC):
     """A fitted HDC artifact whose inference is encode, then score.
 
-    Subclasses set ``classes_`` and ``n_features_``, and may set
-    ``chunk_size`` to window inference: queries are then encoded and
-    scored ``chunk_size`` rows at a time, so the full ``(n, D)``
-    encoding never exists at once.  ``None`` scores the whole batch.
+    Subclasses set ``classes_`` and ``n_features_`` and report the
+    encoded width as :attr:`encoded_dim`.  Queries are encoded and scored
+    one row window at a time, so the full ``(n, D)`` encoding never
+    exists at once.  With ``chunk_size=None`` the windows are the
+    training refresh's, :func:`repro.backend.base.refresh_windows` at
+    width ``D`` (2^19 encoded cells, 128 rows at D = 4096); a positive
+    ``chunk_size`` sets the rows per window instead.
     """
 
     classes_: np.ndarray
     n_features_: int
     chunk_size: Optional[int] = None
+
+    @property
+    @abc.abstractmethod
+    def encoded_dim(self) -> int:
+        """Width ``D`` of :meth:`encode`'s output (its encoder's ``dim``)."""
 
     @abc.abstractmethod
     def encode(self, X: Any) -> Any:
@@ -49,17 +59,19 @@ class StagedModel(abc.ABC):
         """``(n, k)`` float64 class scores for an encoded query block."""
 
     def staged_scores(self, X: Any) -> Tuple[np.ndarray, float, float]:
-        """Score ``X`` window by window, timing the two stages.
+        """Score ``X`` one row window at a time, timing the two stages.
 
         Returns ``(scores, encode_s, score_s)``: the ``(n, k)`` scores
         and the ``time.perf_counter`` seconds spent in :meth:`encode`
         and in :meth:`score_encoded`, summed over the windows.
         """
+        n = len(X) if np.ndim(X) == 2 else 0
         chunk = self.chunk_size
-        if chunk is None or np.ndim(X) != 2 or len(X) <= chunk:
-            windows = [X]
+        if chunk is None:
+            bounds = refresh_windows(n, self.encoded_dim)
         else:
-            windows = [X[i:i + chunk] for i in range(0, len(X), chunk)]
+            bounds = [(i, min(i + chunk, n)) for i in range(0, n, chunk)]
+        windows = [X] if len(bounds) <= 1 else [X[a:b] for a, b in bounds]
         blocks: List[np.ndarray] = []
         encode_s = score_s = 0.0
         for window in windows:

@@ -175,6 +175,10 @@ class LoadedHDCModel(StagedModel):
         self.classes_ = classes
         self.n_features_ = int(n_features)
 
+    @property
+    def encoded_dim(self) -> int:
+        return int(self.encoder_.dim)
+
     def encode(self, X) -> Any:
         return self.encoder_.encode(X)
 

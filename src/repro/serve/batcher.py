@@ -23,7 +23,11 @@ is loss-free: :meth:`close` stops intake and queues a wake-up marker; the
 worker serves everything queued, then exits, and a request that raced
 the shutdown in after the worker's last look is flushed on the
 submitting or closing thread — no request is ever dropped with a
-pending future.
+pending future.  Once a close has seen the worker exit, the batcher lets
+go of its handler and callbacks, so an owner whose bound methods they
+are (a :class:`~repro.serve.server.ModelServer`) is freed by reference
+counting; a submit that raced even that last flush fails with
+``RuntimeError``, as a submit after :meth:`close` does.
 """
 
 from __future__ import annotations
@@ -51,6 +55,11 @@ BatchHandler = Callable[..., Sequence[np.ndarray]]
 
 #: Queued by :meth:`MicroBatcher.close` to wake the blocked worker.
 _WAKE = object()
+
+
+def _closed_handler(*args: Any) -> Sequence[np.ndarray]:
+    """The handler of a batcher whose close has seen its worker exit."""
+    raise RuntimeError("MicroBatcher is closed")
 
 
 class _Request:
@@ -314,6 +323,13 @@ class MicroBatcher:
             return  # the live worker flushes the queue before exiting
         with self._drain_lock:
             self._flush_queued()
+            # With the worker gone, only a submit racing this flush could
+            # still call the handler.  Drop it and the callbacks: as bound
+            # methods they would keep their owner (a ModelServer) and this
+            # batcher alive in a cycle until a full garbage collection.
+            self.handler = _closed_handler
+            self._on_group_done = None
+            self._on_batch = None
 
     def _flush_queued(self) -> None:
         """Flush every queued request as one batch; drop wake-up markers."""

@@ -31,7 +31,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import repro.core.regeneration as regeneration
+import repro.backend.base as window_rule
 import repro.hdc.encoders.registry as registry
 from repro import DistHDClassifier, load_dataset
 from repro.backend import get_backend
@@ -45,7 +45,7 @@ BACKEND = get_backend("numpy")
 N_CLASSES = 5
 #: Window budgets: the smallest legal window (rows · width at the exact
 #: GEMM floor), a small one and the default.
-BUDGETS = [regeneration._EXACT_GEMM_ELEMENTS, 1 << 14, None]
+BUDGETS = [window_rule._EXACT_GEMM_ELEMENTS, 1 << 14, None]
 BUDGET_IDS = ["floor", "16k", "default"]
 #: The tests keep inputs small: a window layout that would need more rows
 #: than this is checked at this many rows (then usually one window).
@@ -122,7 +122,7 @@ def test_windowed_refresh_byte_identical_at_float32(
     monkeypatch, n_features, dim, budget
 ):
     if budget is not None:
-        monkeypatch.setattr(regeneration, "_REFRESH_ELEMENTS", budget)
+        monkeypatch.setattr(window_rule, "_REFRESH_ELEMENTS", budget)
     for seed, width in enumerate(_widths(dim)):
         encoder = RBFEncoder(n_features, dim, seed=seed, dtype="float32")
         _check_bytes(encoder, width, seed)
@@ -135,7 +135,7 @@ def test_windowed_refresh_float64_agrees_to_rounding(
     monkeypatch, n_features, dim, budget
 ):
     if budget is not None:
-        monkeypatch.setattr(regeneration, "_REFRESH_ELEMENTS", budget)
+        monkeypatch.setattr(window_rule, "_REFRESH_ELEMENTS", budget)
     eps = float(np.finfo(np.float64).eps)
     for seed, width in enumerate(_widths(dim)):
         encoder = RBFEncoder(n_features, dim, seed=seed, dtype="float64")
@@ -160,7 +160,7 @@ def test_windowed_refresh_float64_agrees_to_rounding(
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_windowed_refresh_fastfood_byte_identical(monkeypatch, dtype):
     monkeypatch.setattr(
-        regeneration, "_REFRESH_ELEMENTS", regeneration._EXACT_GEMM_ELEMENTS
+        window_rule, "_REFRESH_ELEMENTS", window_rule._EXACT_GEMM_ELEMENTS
     )
     for seed, width in enumerate(_widths(1024)):
         encoder = FastfoodRBFEncoder(54, 1024, seed=seed, dtype=dtype)
@@ -181,7 +181,7 @@ class TestRefreshWindows:
             for start, stop in windows:
                 rows = stop - start
                 assert rows >= 2
-                assert rows * width >= regeneration._EXACT_GEMM_ELEMENTS
+                assert rows * width >= window_rule._EXACT_GEMM_ELEMENTS
 
     def test_short_tail_joins_the_window_before(self):
         start, stop = refresh_windows(10**5, 2100)[0]
@@ -191,7 +191,7 @@ class TestRefreshWindows:
 
     def test_windows_hold_the_budget(self):
         start, stop = refresh_windows(10**5, 2100)[0]
-        assert (stop - start) * 2100 <= regeneration._REFRESH_ELEMENTS
+        assert (stop - start) * 2100 <= window_rule._REFRESH_ELEMENTS
 
 
 def test_fit_allocation_peak_near_the_cached_encoding():
@@ -246,7 +246,7 @@ class _DelegatingRBF(RegenerableEncoder):
 
 def test_registered_family_refreshes_through_its_own_encode_dims(monkeypatch):
     monkeypatch.setitem(registry._REGISTRY, "delegating-rbf", _DelegatingRBF)
-    monkeypatch.setattr(regeneration, "_REFRESH_ELEMENTS", 1 << 13)
+    monkeypatch.setattr(window_rule, "_REFRESH_ELEMENTS", 1 << 13)
     rng = np.random.default_rng(4)
     X = rng.normal(size=(401, 12)).astype(np.float32)
     y = (X[:, :3] @ rng.normal(size=3) > 0).astype(np.int64) + 2 * (

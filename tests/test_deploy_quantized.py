@@ -5,7 +5,7 @@ import pytest
 
 from repro.baselines.knn import KNNClassifier
 from repro.core.disthd import DistHDClassifier
-from repro.deploy.quantized import QuantizedHDCModel
+from repro.deploy.quantized import QuantizedHDCModel, QuantizedTrainer
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +29,20 @@ class TestConstruction:
     def test_all_precisions(self, fitted, bits):
         model = QuantizedHDCModel(fitted, bits=bits)
         assert model.bits == bits
+
+    @pytest.mark.parametrize("chunk_size", [2.5, "4", -3, 0])
+    @pytest.mark.parametrize("build", [
+        lambda clf, chunk: QuantizedHDCModel(clf, chunk_size=chunk),
+        lambda clf, chunk: QuantizedTrainer(
+            DistHDClassifier(dim=32), chunk_size=chunk
+        ),
+    ], ids=["QuantizedHDCModel", "QuantizedTrainer"])
+    def test_chunk_size_checked_at_construction(self, fitted, build,
+                                                chunk_size):
+        """Not at the first predict or fit, and as the same ValueError
+        ``DistHDConfig`` raises."""
+        with pytest.raises(ValueError, match="chunk_size must be positive"):
+            build(fitted, chunk_size)
 
 
 class TestInference:

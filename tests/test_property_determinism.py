@@ -15,17 +15,46 @@ What the code keeps (docs/performance.md, "Encode determinism"):
 
 Shapes: the pamap2 (54 features) and ucihar (561) analogs at D = 4096,
 the served dimensionality, at both dtypes.
+
+Artifact inference walks the training refresh's row windows
+(:func:`repro.backend.base.refresh_windows`; 128 rows at D = 4096) and
+keeps, against scoring the whole batch as one window:
+
+- a packed 1-bit artifact's scores bit for bit at every window layout:
+  the encoding windows hold at least two rows, so their sign bits are the
+  batch's, and XOR + popcount is exact;
+- an unpacked (1- or 8-bit) artifact's cosine scores bit for bit at the
+  perfbench shape, and to the dot product's rounding bound at any layout:
+  the BLAS picks its GEMM kernel by size, and OpenBLAS 0.3.31 rounds a
+  window of fewer than ~1e6 multiply-adds with another kernel than a
+  large batch (a row's unpacked score already depended on its batch's
+  size before inference was windowed);
+- a predict's allocation peak of one window, not of the ``(n, D)``
+  encoding.
+
+After a regeneration the structured encoders gather their output row-major
+(``np.take``), so an unchunked encode stays C-ordered like a chunked one
+and scores bit for bit alike.
 """
 
+import copy
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.backend.base as window_rule
+from repro.backend.base import refresh_windows
+from repro.deploy import QuantizedHDCModel
 from repro.hdc.encoders.rbf import RBFEncoder
-from repro.hdc.encoders.structured import FastfoodRBFEncoder
+from repro.hdc.encoders.structured import (
+    FastfoodRBFEncoder,
+    StructuredProjectionEncoder,
+)
+from repro.hdc.memory import AssociativeMemory
 from repro.hdc.packed import pack_sign_rows, unpack_rows
 
 DIM = 4096
@@ -144,3 +173,169 @@ class TestEncodeDeterminism:
         bound = _rounding_bound(encoder, X[row:row + 1])
         near_zero = np.abs(full[row:row + 1]) <= bound
         assert not np.any(flipped & ~near_zero)
+
+
+# ------------------------------------------------------------- inference
+
+
+N_CLASSES = 5
+#: The three artifact kinds a fitted classifier freezes into.
+ARTIFACTS = {
+    "packed": dict(bits=1, packed=True),
+    "1-bit": dict(bits=1),
+    "8-bit": dict(bits=8),
+}
+
+
+class _Fitted:
+    """What :class:`QuantizedHDCModel` freezes: an encoder, a class memory
+    (random here: windowing is about the arithmetic, not the accuracy)
+    and the labels."""
+
+    def __init__(self, encoder, seed=3):
+        rng = np.random.default_rng(seed)
+        self.encoder_ = encoder
+        self.memory_ = AssociativeMemory(
+            N_CLASSES, encoder.dim, dtype=encoder.dtype
+        )
+        self.memory_.set_vectors(rng.normal(size=(N_CLASSES, encoder.dim)))
+        self.classes_ = 10 * np.arange(N_CLASSES)
+
+
+def _artifacts(kind, n_features, dtype):
+    """The three artifacts of one fitted state (each freezes its own copy
+    of the encoder, so they are built per test, not cached)."""
+    fitted = _Fitted(_encoder(kind, n_features, dtype))
+    return {
+        name: QuantizedHDCModel(fitted, **knobs)
+        for name, knobs in ARTIFACTS.items()
+    }
+
+
+def _scores(model, X, chunk_size=None):
+    """``staged_scores`` of ``model`` at ``chunk_size``, and the row
+    windows its encoder saw."""
+    model = copy.copy(model)
+    model.chunk_size = chunk_size
+    seen = []
+
+    def encode(window):
+        seen.append(len(window))
+        return type(model).encode(model, window)
+
+    model.encode = encode
+    return model.staged_scores(X)[0], seen
+
+
+def _dot_rounding_bound(dtype):
+    """Two summation orders of a D-term float64 dot product differ by at
+    most ``2·γ(D)·|q|·|c|`` (Cauchy-Schwarz), so two cosines by ``2·γ(D)``,
+    plus a few ulps of the norms and the division."""
+    unit = float(np.finfo(np.float64).eps) / 2
+    gamma = DIM * unit / (1 - DIM * unit)
+    return 2 * gamma + 8 * float(np.finfo(dtype).eps)
+
+
+#: ``(seed, window rows, full windows, tail rows)``: a one-row tail joins
+#: the last window, a longer one is a window of its own.
+layouts = st.tuples(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 16),
+    st.integers(1, 4),
+    st.integers(0, 15),
+)
+
+
+@pytest.mark.parametrize("kind,n_features,dtype", CONFIGS)
+class TestInferenceWindows:
+    @EXAMPLES
+    @given(case=layouts)
+    def test_scores_match_the_whole_batch(self, kind, n_features, dtype,
+                                          case):
+        seed, rows, full, tail = case
+        tail %= rows
+        n = rows * full + tail
+        X = _rows(seed, n, n_features)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(window_rule, "_REFRESH_ELEMENTS", rows * DIM)
+            expected = [stop - start for start, stop in refresh_windows(n, DIM)]
+            assert expected == (
+                [rows] * (full - 1) + [rows + 1] if tail == 1
+                else [rows] * full + ([tail] if tail else [])
+            )
+            for artifact, model in _artifacts(kind, n_features, dtype).items():
+                windowed, seen = _scores(model, X)
+                assert seen == expected
+                whole, seen = _scores(model, X, chunk_size=n)
+                assert seen == [n]
+                if artifact == "packed":
+                    assert windowed.tobytes() == whole.tobytes()
+                else:
+                    np.testing.assert_allclose(
+                        windowed, whole, rtol=0,
+                        atol=_dot_rounding_bound(dtype),
+                    )
+
+    def test_perfbench_shape_bit_identical(self, kind, n_features, dtype):
+        """The 1380 held-out rows of the perfbench point: eleven windows,
+        the last of 100 rows, each scored bit for bit as the whole batch,
+        unpacked artifacts included."""
+        X = _rows(71, 1380, n_features)
+        for artifact, model in _artifacts(kind, n_features, dtype).items():
+            windowed, seen = _scores(model, X)
+            assert seen == [128] * 10 + [100]
+            whole, _ = _scores(model, X, chunk_size=len(X))
+            assert windowed.tobytes() == whole.tobytes(), artifact
+            np.testing.assert_array_equal(
+                model.predict(X), model.classes_[np.argmax(whole, axis=1)]
+            )
+
+
+def test_packed_predict_peak_is_one_window():
+    """At the perfbench shape (54 features, D = 4096, float32, packed
+    1-bit) a predict's traced allocation peak is one window's working set,
+    under 8 MiB and the same at 1380 and 4 x 1380 rows; scoring the whole
+    batch at once peaked at 27.6 and 110.5 MiB."""
+    model = QuantizedHDCModel(
+        _Fitted(RBFEncoder(54, DIM, seed=11, dtype="float32")),
+        bits=1, packed=True,
+    )
+    peaks = []
+    for n in (1380, 4 * 1380):
+        X = _rows(5, n, 54)
+        model.predict(X[:256])
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            model.predict(X)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 8 * 2**20, peaks
+    assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("encoder_cls", [
+    FastfoodRBFEncoder,
+    functools.partial(StructuredProjectionEncoder, activation="linear"),
+], ids=["fastfood-rbf", "structured"])
+def test_structured_encode_row_major_after_regeneration(encoder_cls, dtype):
+    """Once dimensions are regenerated an unchunked structured encode is
+    C-ordered, like a chunked one, and scores bit for bit alike (a
+    column-major encoding took another row-norm path, ~6e-8 apart)."""
+    encoder = encoder_cls(54, 1024, seed=2, dtype=dtype)
+    rng = np.random.default_rng(2)
+    encoder.regenerate(np.sort(rng.choice(1024, size=300, replace=False)))
+    X = rng.normal(size=(256, 54))
+    whole = encoder.encode(X)
+    chunked = encoder.encode(X, chunk_size=64)
+    assert whole.flags.c_contiguous
+    assert whole.tobytes() == chunked.tobytes()
+    memory = AssociativeMemory(N_CLASSES, 1024, dtype=dtype)
+    memory.set_vectors(rng.normal(size=(N_CLASSES, 1024)))
+    assert (
+        memory.similarities(whole).tobytes()
+        == memory.similarities(chunked).tobytes()
+    )

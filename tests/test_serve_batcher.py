@@ -309,6 +309,32 @@ class TestLifecycle:
         assert head.result(timeout=0)[0] == 3.0
         assert late.result(timeout=0)[0] == 6.0
 
+    def test_close_lets_go_of_the_handler(self, monkeypatch):
+        """Once close has seen the worker exit and flushed the queue, the
+        batcher drops its handler and callbacks (an owner's bound methods
+        would otherwise keep the owner alive); a submit that raced past
+        that last flush fails as a submit after close does."""
+        done = []
+        mb = MicroBatcher(
+            _echo_handler, on_group_done=lambda lat, ok: done.append(ok),
+            on_batch=lambda rows: None,
+        )
+        assert mb.submit("sum", np.ones(3)).result(timeout=5)[0] == 3.0
+        mb.close()
+        assert mb.handler is not _echo_handler
+        assert mb._on_group_done is None and mb._on_batch is None
+        is_set, checks = mb._closed.is_set, []
+
+        def flag_read_before_close():
+            checks.append(None)
+            return len(checks) > 1 and is_set()
+
+        monkeypatch.setattr(mb._closed, "is_set", flag_read_before_close)
+        late = mb.submit("sum", np.full(3, 2.0))
+        with pytest.raises(RuntimeError, match="closed"):
+            late.result(timeout=0)
+        assert done == [True]
+
 
 class TestRandomSchedules:
     """Submit, handler-gating and close orders drawn by hypothesis; each

@@ -1,6 +1,8 @@
 """Tests for repro.serve.server.ModelServer (incl. the hot-swap protocol)."""
 
+import gc
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -242,6 +244,29 @@ class TestLifecycle:
         server.close()
         with pytest.raises(RuntimeError, match="closed"):
             server.predict(np.zeros((1, fitted.n_features_)))
+
+    def test_closed_server_freed_without_the_cycle_collector(
+        self, fitted, small_problem
+    ):
+        """A closed server and the artifacts it held go as soon as the
+        last reference does: its batcher no longer holds the server's
+        bound methods once the worker has exited."""
+        _, _, test_x, _ = small_problem
+        gc.collect()
+        gc.disable()
+        try:
+            server = ModelServer(QuantizedHDCModel(fitted, bits=1, packed=True))
+            server.predict(test_x[:4])
+            server.deploy(QuantizedHDCModel(fitted, bits=8))
+            server.predict(test_x[:4])
+            server_ref = weakref.ref(server)
+            artifact_ref = weakref.ref(server.model)
+            server.close()
+            del server
+            assert server_ref() is None
+            assert artifact_ref() is None
+        finally:
+            gc.enable()
 
     def test_stats_fields(self, server, small_problem):
         _, _, test_x, _ = small_problem
