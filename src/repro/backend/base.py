@@ -136,8 +136,8 @@ class ArrayBackend(abc.ABC):
     @abc.abstractmethod
     def empty(self, shape: Any, dtype: Any = np.float64) -> Any:
         """An *uninitialised* native array — for outputs every element of
-        which the caller overwrites (chunked encode windows, block-stacked
-        encoder outputs), where :meth:`zeros`'s fill is pure waste."""
+        which the caller overwrites (block-stacked encoder outputs), where
+        :meth:`zeros`'s fill is pure waste."""
 
     @abc.abstractmethod
     def copy(self, x: Any) -> Any:
@@ -342,7 +342,6 @@ class ArrayBackend(abc.ABC):
         coeffs: Any,
         *,
         normalization: str = "l2",
-        chunk_size: Optional[int] = None,
         eps: float = 1e-12,
     ) -> np.ndarray:
         """Column sums of row-normalised signed ``|H − C|`` combinations.
@@ -355,9 +354,9 @@ class ArrayBackend(abc.ABC):
         Rows are normalised per ``normalization`` (``"l2"`` / ``"l1"`` /
         ``"minmax"`` / ``"none"``, matching the dense reference in
         :mod:`repro.core.regeneration`) and column-summed into a single
-        ``(D,)`` float64 NumPy vector.  The kernel streams in row chunks of
-        ``chunk_size`` (``None`` → a cache-sized default), so peak extra
-        memory is ``O(chunk · D)`` — the full ``(m, D)`` distance matrix is
+        ``(D,)`` float64 NumPy vector.  The kernel streams in cache-sized
+        row chunks (:func:`auto_chunk_rows`), so peak extra memory is
+        ``O(chunk · D)`` — the full ``(m, D)`` distance matrix is
         never materialised, and all arithmetic stays native to the backend
         (one host conversion for the final ``(D,)`` result).
 
@@ -390,8 +389,7 @@ class ArrayBackend(abc.ABC):
                 raise ValueError(
                     f"class term has {t.shape[0]} entries for {rows.shape[0]} rows"
                 )
-        chunk = chunk_size if chunk_size is not None else auto_chunk_rows(dim)
-        chunk = max(1, min(int(chunk), rows.size))
+        chunk = max(1, min(auto_chunk_rows(dim), rows.size))
         total = self.zeros((dim,), dtype=np.float64)
         for start in range(0, rows.size, chunk):
             stop = min(start + chunk, rows.size)
@@ -473,7 +471,6 @@ class ArrayBackend(abc.ABC):
         q_words: Any,
         m_words: Any,
         dim: int,
-        chunk_size: Optional[int] = None,
     ) -> np.ndarray:
         """Similarity ``(dim − 2·hamming) / dim`` between packed rows.
 
@@ -481,8 +478,7 @@ class ArrayBackend(abc.ABC):
         ``uint64`` packed words (the boundary representation produced by
         :meth:`packbits_rows`); returns ``(n, k)`` float64 NumPy scores in
         ``[-1, 1]`` via XOR + popcount — identical rows score 1.0 and the
-        score is strictly decreasing in Hamming distance.  ``chunk_size``
-        bounds the XOR temporary for large query batches.
+        score is strictly decreasing in Hamming distance.
 
         This body runs the NumPy kernels of :mod:`repro.hdc.packed` (which
         select ``np.bitwise_count`` or the lookup-table fallback at import
@@ -495,7 +491,6 @@ class ArrayBackend(abc.ABC):
             np.asarray(q_words, dtype=np.uint64),
             np.asarray(m_words, dtype=np.uint64),
             int(dim),
-            chunk_size=chunk_size,
         )
 
     # ------------------------------------------------------------------ misc

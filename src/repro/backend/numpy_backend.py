@@ -305,12 +305,11 @@ class NumpyBackend(ArrayBackend):
         q_words: Any,
         m_words: Any,
         dim: int,
-        chunk_size: Optional[int] = None,
     ) -> np.ndarray:
         # Tuned over the generic path: the (chunk, k, W) XOR temporary is
         # allocated once and reused across chunks (ufunc out=), and the
-        # chunk size defaults to the cache-sized auto_chunk_rows budget
-        # instead of the whole batch.
+        # chunk is the cache-sized auto_chunk_rows budget instead of the
+        # whole batch.
         from repro.backend.base import auto_chunk_rows
         from repro.hdc import packed as _packed
 
@@ -331,12 +330,7 @@ class NumpyBackend(ArrayBackend):
             )
         n, width = Q.shape
         k = M.shape[0]
-        chunk = (
-            int(chunk_size)
-            if chunk_size is not None
-            else auto_chunk_rows(max(k * width, 1))
-        )
-        chunk = max(1, min(chunk, max(n, 1)))
+        chunk = max(1, min(auto_chunk_rows(max(k * width, 1)), max(n, 1)))
         out = np.empty((n, k), dtype=np.float64)
         xor_buf = np.empty((chunk, k, width), dtype=np.uint64)
         for start in range(0, n, chunk):
@@ -367,7 +361,6 @@ class NumpyBackend(ArrayBackend):
         coeffs: Any,
         *,
         normalization: str = "l2",
-        chunk_size: Any = None,
         eps: float = _EPS,
     ) -> np.ndarray:
         # Same contract as the base implementation, but with every per-chunk
@@ -388,7 +381,7 @@ class NumpyBackend(ArrayBackend):
             # truncate the fractional coefficients and normalisation.
             return super().fused_absdiff_colsum(
                 H, rows, C, class_terms, coeffs,
-                normalization=normalization, chunk_size=chunk_size, eps=eps,
+                normalization=normalization, eps=eps,
             )
         rows = np.asarray(rows, dtype=np.int64)
         dim = H.shape[1]
@@ -401,8 +394,7 @@ class NumpyBackend(ArrayBackend):
                 raise ValueError(
                     f"class term has {t.shape[0]} entries for {rows.shape[0]} rows"
                 )
-        chunk = chunk_size if chunk_size is not None else auto_chunk_rows(dim)
-        chunk = max(1, min(int(chunk), rows.size))
+        chunk = max(1, min(auto_chunk_rows(dim), rows.size))
 
         total = np.zeros(dim, dtype=np.float64)
         h_buf = np.empty((chunk, dim), dtype=H.dtype)

@@ -87,18 +87,6 @@ class DistHDConfig:
     regen_every:
         Streaming only: run a regeneration step over the reservoir after
         this many ``partial_fit`` calls.
-    fused_regen:
-        Score Algorithm 2's undesired dimensions with the fused, chunked
-        backend kernel (never materialising the ``(n, D)`` distance
-        matrices).  Disable to run the dense reference path — same results
-        to floating-point tolerance, mainly useful for benchmarking and
-        debugging.
-    chunk_size:
-        Row-chunk size bounding intermediate memory on the inference and
-        regeneration-scoring paths (``decision_scores``, ``predict``,
-        outcome partitioning, fused Algorithm-2 scoring).  ``None`` keeps
-        inference unchunked and lets the fused kernel pick a cache-sized
-        default.
     n_jobs:
         Parallel workers for data-parallel sharded fitting (see
         :func:`repro.engine.shard.shard_fit`).  ``None`` or ``1`` trains
@@ -135,8 +123,6 @@ class DistHDConfig:
     convergence_tol: float = 1e-3
     reservoir_size: int = 512
     regen_every: int = 10
-    fused_regen: bool = True
-    chunk_size: Optional[int] = None
     n_jobs: Optional[int] = None
     backend: str = "numpy"
     dtype: str = "float32"
@@ -186,7 +172,6 @@ class DistHDConfig:
         check_convergence_params(self.convergence_patience, self.convergence_tol)
         check_positive_int(self.reservoir_size, "reservoir_size")
         check_positive_int(self.regen_every, "regen_every")
-        check_optional_positive_int(self.chunk_size, "chunk_size")
         check_n_jobs(self.n_jobs)
         # Fail fast on unknown backend names / dtype specs (ArrayBackend
         # instances and NumPy dtypes are passed through unchanged).

@@ -141,8 +141,7 @@ class DistHDClassifier(BaseClassifier):
                 query_norms=norms,
             )
             partition = partition_outcomes(
-                self.memory_, encoded, y, chunk_size=cfg.chunk_size,
-                query_norms=norms,
+                self.memory_, encoded, y, query_norms=norms
             )
             train_acc = partition.correct.size / max(partition.n_samples, 1)
             rates = partition.rates()
@@ -290,8 +289,7 @@ class DistHDClassifier(BaseClassifier):
     def _regenerate_from_reservoir(self) -> None:
         encoded = self.encoder_.encode(self._reservoir_x)
         partition = partition_outcomes(
-            self.memory_, encoded, self._reservoir_y,
-            chunk_size=self.config.chunk_size,
+            self.memory_, encoded, self._reservoir_y
         )
         report = regenerate_step(
             encoded, self._reservoir_y, partition, self.memory_,
@@ -307,32 +305,19 @@ class DistHDClassifier(BaseClassifier):
     def decision_scores(self, X) -> np.ndarray:
         """Cosine similarity of each query against each class hypervector.
 
-        When ``config.chunk_size`` is set, queries stream through
-        encode-then-score in row chunks: the full ``(n, D)`` encoded batch
-        is never materialised, so inference memory is bounded at arbitrary
-        batch sizes (only the ``(n, k)`` score matrix is allocated).
+        The whole batch is encoded at once; a deployed artifact
+        (:class:`~repro.deploy.StagedModel`) is what scores in bounded row
+        windows.
         """
         self._check_fitted()
         X = check_matrix(X, "X")
         check_features_match(self.n_features_, X.shape[1], type(self).__name__)
-        chunk = self.config.chunk_size
-        n = X.shape[0]
-        if chunk is None or n <= chunk:
-            return self.memory_.similarities(self.encoder_.encode(X))
-        out = np.empty((n, self.memory_.n_classes), dtype=np.float64)
-        for start in range(0, n, chunk):
-            stop = min(start + chunk, n)
-            out[start:stop] = self.memory_.similarities(
-                self.encoder_.encode(X[start:stop])
-            )
-        return out
+        return self.memory_.similarities(self.encoder_.encode(X))
 
     def encode(self, X) -> np.ndarray:
         """Expose the fitted encoder (useful for robustness experiments)."""
         self._check_fitted()
-        return self.encoder_.encode(
-            check_matrix(X, "X"), chunk_size=self.config.chunk_size
-        )
+        return self.encoder_.encode(check_matrix(X, "X"))
 
     # ------------------------------------------------------------ properties
 

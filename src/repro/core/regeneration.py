@@ -23,16 +23,13 @@ Both matrices are normalised row-wise, column-summed into 1×D score vectors
 dimensions is returned as the undesired set — intersecting avoids
 over-eliminating dimensions that only one evidence source dislikes.
 
-Two scoring paths produce ``M'``/``N'``:
-
-- :func:`fused_dimension_scores` (the default, ``DistHDConfig.fused_regen``)
-  streams the computation through the backend's fused
-  ``fused_absdiff_colsum`` kernel in cache-sized row chunks — the ``(n, D)``
-  distance matrices are never materialised and the arithmetic stays native
-  to the backend;
-- :func:`distance_matrices` + :func:`select_undesired_dimensions` — the
-  dense NumPy reference the fused path is property-tested against
-  (``tests/test_property_fused.py``).
+Training scores ``M'``/``N'`` with :func:`fused_dimension_scores`, which
+streams the computation through the backend's fused ``fused_absdiff_colsum``
+kernel in cache-sized row chunks: the ``(n, D)`` distance matrices are never
+materialised and the arithmetic stays native to the backend.
+:func:`distance_matrices` + :func:`select_undesired_dimensions` are the
+dense NumPy reference the fused path is property-tested against
+(``tests/test_property_fused.py``).
 """
 
 from __future__ import annotations
@@ -192,7 +189,6 @@ def fused_dimension_scores(
     theta: float = 0.25,
     incorrect_rule: str = "prose",
     normalization: str = "l2",
-    chunk_size: Optional[int] = None,
 ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
     """Algorithm 2's column-sum score vectors ``M'`` and ``N'``, fused.
 
@@ -218,7 +214,7 @@ def fused_dimension_scores(
     m_scores = (
         b.fused_absdiff_colsum(
             H, partition.partial, C, m_terms, m_coeffs,
-            normalization=normalization, chunk_size=chunk_size,
+            normalization=normalization,
         )
         if partition.partial.size
         else None
@@ -226,7 +222,7 @@ def fused_dimension_scores(
     n_scores = (
         b.fused_absdiff_colsum(
             H, partition.incorrect, C, n_terms, n_coeffs,
-            normalization=normalization, chunk_size=chunk_size,
+            normalization=normalization,
         )
         if partition.incorrect.size
         else None
@@ -285,7 +281,7 @@ def select_undesired_dimensions(
     Implements Algorithm 2 lines 13–15: normalise, column-sum to ``M'`` and
     ``N'``, take the top ``R%·D`` of each, combine per ``selection``.  This
     is the dense reference; training uses :func:`fused_dimension_scores` +
-    :func:`undesired_from_scores` unless ``fused_regen`` is disabled.
+    :func:`undesired_from_scores`.
     """
     if not 0.0 <= regen_rate <= 1.0:
         raise ValueError(f"regen_rate must be in [0, 1], got {regen_rate}")
@@ -336,54 +332,31 @@ def regenerate_step(
     """Run a full Algorithm-2 step: score, select, drop and regenerate.
 
     Scoring runs through the fused chunked kernel
-    (:func:`fused_dimension_scores`) unless ``config.fused_regen`` is off,
-    in which case the dense reference path builds the full distance
-    matrices.  The encoder's base vectors for the undesired dimensions are
-    redrawn and the class-memory entries at those dimensions reset to zero;
-    callers must refresh any cached encodings for the affected columns.
+    (:func:`fused_dimension_scores`).  The encoder's base vectors for the
+    undesired dimensions are redrawn and the class-memory entries at those
+    dimensions reset to zero; callers must refresh any cached encodings for
+    the affected columns.
     """
-    if config.fused_regen:
-        m_scores, n_scores = fused_dimension_scores(
-            encoded,
-            labels,
-            partition,
-            memory,
-            alpha=config.alpha,
-            beta=config.beta,
-            theta=config.theta,
-            incorrect_rule=config.incorrect_rule,
-            normalization=config.normalization,
-            chunk_size=config.chunk_size,
-        )
-        dims = undesired_from_scores(
-            m_scores,
-            n_scores,
-            regen_rate=config.regen_rate,
-            selection=config.selection,
-        )
-        has_m, has_n = m_scores is not None, n_scores is not None
-    else:
-        M, N = distance_matrices(
-            encoded,
-            labels,
-            partition,
-            memory,
-            alpha=config.alpha,
-            beta=config.beta,
-            theta=config.theta,
-            incorrect_rule=config.incorrect_rule,
-        )
-        dims = select_undesired_dimensions(
-            M,
-            N,
-            regen_rate=config.regen_rate,
-            dim=memory.dim,
-            normalization=config.normalization,
-            selection=config.selection,
-        )
-        has_m, has_n = bool(M.size), bool(N.size)
-    m_count = int(round(config.regen_rate * memory.dim)) if has_m else 0
-    n_count = int(round(config.regen_rate * memory.dim)) if has_n else 0
+    m_scores, n_scores = fused_dimension_scores(
+        encoded,
+        labels,
+        partition,
+        memory,
+        alpha=config.alpha,
+        beta=config.beta,
+        theta=config.theta,
+        incorrect_rule=config.incorrect_rule,
+        normalization=config.normalization,
+    )
+    dims = undesired_from_scores(
+        m_scores,
+        n_scores,
+        regen_rate=config.regen_rate,
+        selection=config.selection,
+    )
+    count = int(round(config.regen_rate * memory.dim))
+    m_count = count if m_scores is not None else 0
+    n_count = count if n_scores is not None else 0
     if dims.size:
         encoder.regenerate(dims)
         memory.reset_dimensions(dims)

@@ -14,7 +14,6 @@ The partially-correct and incorrect sets feed Algorithm 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -25,20 +24,15 @@ def top2_labels(
     memory: AssociativeMemory,
     encoded: np.ndarray,
     *,
-    chunk_size: Optional[int] = None,
     query_norms=None,
 ) -> np.ndarray:
     """``(n, 2)`` array of each sample's two most-similar class labels.
 
-    ``chunk_size`` streams the similarity computation in row windows so
-    peak intermediate memory stays bounded at arbitrary batch sizes;
     ``query_norms`` are ``encoded``'s precomputed ``(n,)`` row norms.
     """
     if memory.n_classes < 2:
         raise ValueError("top-2 classification requires at least 2 classes")
-    labels, _ = memory.topk(
-        encoded, k=2, chunk_size=chunk_size, query_norms=query_norms
-    )
+    labels, _ = memory.topk(encoded, k=2, query_norms=query_norms)
     return labels
 
 
@@ -84,14 +78,11 @@ def partition_outcomes(
     encoded: np.ndarray,
     labels: np.ndarray,
     *,
-    chunk_size: Optional[int] = None,
     query_norms=None,
 ) -> OutcomePartition:
     """Partition a training batch by top-2 outcome against ``memory``."""
     labels = np.asarray(labels, dtype=np.int64)
-    pair = top2_labels(
-        memory, encoded, chunk_size=chunk_size, query_norms=query_norms
-    )
+    pair = top2_labels(memory, encoded, query_norms=query_norms)
     if pair.shape[0] != labels.shape[0]:
         raise ValueError(
             f"encoded and labels disagree on sample count: "
@@ -115,8 +106,6 @@ def topk_accuracy_from_memory(
     encoded: np.ndarray,
     labels: np.ndarray,
     k: int,
-    *,
-    chunk_size: Optional[int] = None,
 ) -> float:
     """Top-``k`` accuracy of ``memory`` on an encoded batch.
 
@@ -124,5 +113,5 @@ def topk_accuracy_from_memory(
     ``k`` most similar classes (the paper's definition, §I).
     """
     labels = np.asarray(labels, dtype=np.int64)
-    topk, _ = memory.topk(encoded, k=k, chunk_size=chunk_size)
+    topk, _ = memory.topk(encoded, k=k)
     return float(np.mean(np.any(topk == labels[:, None], axis=1)))

@@ -34,10 +34,7 @@ from repro.hdc.packed import flip_packed_bits, pack_code_rows, unpack_rows
 from repro.noise.bitflip import flip_bits
 from repro.noise.quantization import QuantizedTensor, dequantize, quantize
 from repro.utils.rng import SeedLike, as_rng
-from repro.utils.validation import (
-    check_optional_positive_int,
-    check_probability,
-)
+from repro.utils.validation import check_probability
 
 
 class QuantizedHDCModel(StagedModel):
@@ -55,12 +52,6 @@ class QuantizedHDCModel(StagedModel):
         ``classes_``.
     bits:
         Class-memory precision (1, 2, 4 or 8).
-    chunk_size:
-        Rows per inference window.  Queries always stream through
-        encode-then-score one window at a time, bounding inference memory
-        on the (typically RAM-constrained) deployment target; ``None``
-        takes the library's window rule (2^19 encoded cells, 128 rows at
-        D = 4096; see :class:`~repro.deploy.staged.StagedModel`).
     packed:
         Store the 1-bit class memory bit-packed (64 cells per ``uint64``
         word) and run inference entirely in the packed domain: queries are
@@ -90,8 +81,7 @@ class QuantizedHDCModel(StagedModel):
     True
     """
 
-    def __init__(self, classifier, bits: int = 8,
-                 chunk_size: Optional[int] = None, *,
+    def __init__(self, classifier, bits: int = 8, *,
                  packed: bool = False,
                  retain_base: bool = True) -> None:
         if getattr(classifier, "encoder_", None) is None or \
@@ -101,7 +91,6 @@ class QuantizedHDCModel(StagedModel):
                 "QuantizedHDCModel needs a fitted HDC classifier with "
                 "encoder_, memory_ and classes_"
             )
-        chunk_size = check_optional_positive_int(chunk_size, "chunk_size")
         if packed and int(bits) != 1:
             raise ValueError(
                 f"packed=True requires bits=1 (a packed cell is one bit), "
@@ -109,7 +98,6 @@ class QuantizedHDCModel(StagedModel):
             )
         self.classifier = classifier if retain_base else None
         self.bits = int(bits)
-        self.chunk_size = chunk_size
         self.packed = bool(packed)
         self.refresh_count = 0
         self._freeze(classifier)
@@ -362,16 +350,12 @@ class QuantizedTrainer:
         ``memory_`` / ``classes_`` after fitting).
     bits:
         Class-memory precision (1, 2, 4 or 8).
-    chunk_size:
-        Rows per inference window of the frozen model (``None``: the
-        library's window rule; see :class:`QuantizedHDCModel`).
     packed:
         Freeze bit-packed and score in the packed domain (requires
         ``bits=1``; see :class:`QuantizedHDCModel`).
     """
 
-    def __init__(self, classifier, bits: int = 8,
-                 chunk_size: Optional[int] = None, *,
+    def __init__(self, classifier, bits: int = 8, *,
                  packed: bool = False) -> None:
         if bits not in (1, 2, 4, 8):
             raise ValueError(f"bits must be 1, 2, 4 or 8, got {bits}")
@@ -381,7 +365,6 @@ class QuantizedTrainer:
             )
         self.classifier = classifier
         self.bits = int(bits)
-        self.chunk_size = check_optional_positive_int(chunk_size, "chunk_size")
         self.packed = bool(packed)
         self.deployed_: Optional[QuantizedHDCModel] = None
 
@@ -391,8 +374,7 @@ class QuantizedTrainer:
         """Fit the wrapped classifier, then freeze it at ``bits`` precision."""
         self.classifier.fit(X, y)
         self.deployed_ = QuantizedHDCModel(
-            self.classifier, bits=self.bits, chunk_size=self.chunk_size,
-            packed=self.packed,
+            self.classifier, bits=self.bits, packed=self.packed,
         )
         return self
 
@@ -406,8 +388,7 @@ class QuantizedTrainer:
         self.classifier.partial_fit(X, y, classes=classes)
         if self.deployed_ is None:
             self.deployed_ = QuantizedHDCModel(
-                self.classifier, bits=self.bits, chunk_size=self.chunk_size,
-                packed=self.packed,
+                self.classifier, bits=self.bits, packed=self.packed,
             )
         else:
             self.deployed_.refresh()

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import abc
 import time
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Tuple
 
 import numpy as np
 
@@ -30,15 +30,13 @@ class StagedModel(abc.ABC):
     Subclasses set ``classes_`` and ``n_features_`` and report the
     encoded width as :attr:`encoded_dim`.  Queries are encoded and scored
     one row window at a time, so the full ``(n, D)`` encoding never
-    exists at once.  With ``chunk_size=None`` the windows are the
-    training refresh's, :func:`repro.backend.base.refresh_windows` at
-    width ``D`` (2^19 encoded cells, 128 rows at D = 4096); a positive
-    ``chunk_size`` sets the rows per window instead.
+    exists at once.  The windows are the training refresh's,
+    :func:`repro.backend.base.refresh_windows` at width ``D`` (2^19
+    encoded cells, 128 rows at D = 4096).
     """
 
     classes_: np.ndarray
     n_features_: int
-    chunk_size: Optional[int] = None
 
     @property
     @abc.abstractmethod
@@ -66,11 +64,7 @@ class StagedModel(abc.ABC):
         and in :meth:`score_encoded`, summed over the windows.
         """
         n = len(X) if np.ndim(X) == 2 else 0
-        chunk = self.chunk_size
-        if chunk is None:
-            bounds = refresh_windows(n, self.encoded_dim)
-        else:
-            bounds = [(i, min(i + chunk, n)) for i in range(0, n, chunk)]
+        bounds = refresh_windows(n, self.encoded_dim)
         windows = [X] if len(bounds) <= 1 else [X[a:b] for a, b in bounds]
         blocks: List[np.ndarray] = []
         encode_s = score_s = 0.0

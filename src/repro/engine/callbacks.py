@@ -13,13 +13,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import Callable, List, Optional
 
 from repro.core.convergence import ConvergenceTracker
 from repro.core.history import IterationRecord, TrainingHistory
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from repro.obs.registry import MetricsRegistry
 
 
 @dataclass
@@ -134,59 +131,6 @@ class TimingCallback(Callback):
         if self._started is not None:
             state.iteration_seconds.append(time.perf_counter() - self._started)
             self._started = None
-
-
-class MetricsCallback(Callback):
-    """Publish training progress into an observability metrics registry.
-
-    Bridges the engine loop to :class:`repro.obs.MetricsRegistry`: per
-    completed iteration a counter bump, the iteration wall-clock into a
-    histogram, and the training accuracy onto a gauge, plus a fit
-    counter and an in-progress gauge — so a long adaptation or refit
-    running next to the serving stack is visible on the same
-    ``/metrics`` scrape as the request path.  Instruments are created
-    once per registry (re-registration is idempotent), so many fits can
-    share one registry.
-    """
-
-    def __init__(
-        self, registry: "MetricsRegistry", prefix: str = "repro_train"
-    ) -> None:
-        self._m_iterations = registry.counter(
-            f"{prefix}_iterations_total", "Completed training iterations."
-        )
-        self._m_fits = registry.counter(
-            f"{prefix}_fits_total", "Completed training runs."
-        )
-        self._m_active = registry.gauge(
-            f"{prefix}_active", "Training runs currently in progress."
-        )
-        self._m_seconds = registry.histogram(
-            f"{prefix}_iteration_seconds", "Wall-clock per iteration."
-        )
-        self._m_accuracy = registry.gauge(
-            f"{prefix}_accuracy", "Training accuracy of the last iteration."
-        )
-        self._started: Optional[float] = None
-
-    def on_fit_begin(self, state: EngineState) -> None:
-        self._m_active.inc()
-
-    def on_iteration_begin(self, state: EngineState) -> None:
-        self._started = time.perf_counter()
-
-    def on_iteration_end(self, state: EngineState, record: IterationRecord) -> None:
-        self._m_iterations.inc()
-        if self._started is not None:
-            self._m_seconds.observe(time.perf_counter() - self._started)
-            self._started = None
-        if record.train_accuracy is not None:
-            self._m_accuracy.set(float(record.train_accuracy))
-
-    def on_fit_end(self, state: EngineState) -> None:
-        self._m_active.dec()
-        if not state.failed:
-            self._m_fits.inc()
 
 
 class CheckpointCallback(Callback):

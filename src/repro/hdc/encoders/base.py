@@ -57,43 +57,17 @@ class Encoder(abc.ABC):
         self.dtype = resolve_dtype(dtype)
         self.backend = get_backend(backend)
 
-    def encode(self, X: Any, *, chunk_size: Any = None) -> Any:
+    def encode(self, X: Any) -> Any:
         """Encode ``(n, q)`` features into ``(n, D)`` hypervectors.
 
-        ``chunk_size`` encodes in row windows into one preallocated output,
-        bounding intermediate memory at ``O(chunk_size · D)`` — the encoder
-        nonlinearities otherwise materialise several ``(n, D)`` temporaries.
-        The ``(n, D)`` result itself is allocated either way.  Encoding is
-        row-independent, but a dense GEMM may round a lone row differently
-        from the same row inside a window of two or more: windows of at
-        least two rows are bit-identical to the unchunked result, a
-        one-row window (chunk size 1, or a one-row tail) agrees to float
-        rounding (see docs/performance.md, "Encode determinism").
+        Encoding is row-independent, but a dense GEMM may round a lone row
+        differently from the same row inside a batch of two or more: row
+        windows of at least two rows, encoded one call each and
+        concatenated, are bit-identical to one call on the whole batch; a
+        one-row window agrees to float rounding (see docs/performance.md,
+        "Encode determinism").
         """
-        X = self._check_input(X)
-        n = int(X.shape[0])
-        if chunk_size is None or n <= int(chunk_size):
-            return self._encode(X)
-        if chunk_size <= 0:
-            raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-        b = self.backend
-        chunk = int(chunk_size)
-        # Every row window of the output is overwritten below, so skip the
-        # zero-fill; one index vector is allocated up front and sliced per
-        # chunk instead of re-built inside the loop.
-        out = b.empty((n, self.dim), dtype=self.dtype)
-        idx = np.arange(n, dtype=np.int64)
-        for start in range(0, n, chunk):
-            stop = min(start + chunk, n)
-            b.set_rows(
-                out,
-                idx[start:stop],
-                b.asarray(
-                    self._encode(b.slice_rows(X, start, stop)),
-                    dtype=self.dtype,
-                ),
-            )
-        return out
+        return self._encode(self._check_input(X))
 
     def _check_input(self, X: Any) -> Any:
         """Validate features and cast them to the encoder's dtype/backend.

@@ -179,7 +179,7 @@ class StructuredProjectionEncoder(RegenerableEncoder):
         if self._identity_slots:
             proj = flat[:, : self.dim]
         else:
-            # Gather row-major, as the chunked encode's output is:
+            # Gather row-major, as a windowed encode's output is:
             # ``flat[:, idx]`` lays its result out column-major, and every
             # later pass, the row norms included, inherits that layout.
             # np.take is also ~4x faster at D = 4096.

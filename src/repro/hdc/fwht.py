@@ -31,8 +31,8 @@ are NumPy-dispatch-bound.  Three properties the encoders rely on:
   summation order) by operand shape, so a lone row routed through ``gemv``
   would round differently than the same row inside a taller batch.  Fixed
   shapes make the transform of a row bit-identical no matter how many
-  neighbours it is batched with — the invariant ``Encoder.encode``'s
-  chunked path and ``shard_fit`` determinism need.
+  neighbours it is batched with — the invariant windowed encodes
+  (``StagedModel``, fleet batches) and ``shard_fit`` determinism need.
 - **In place** — the transform overwrites its input (ping-ponging with one
   scratch buffer), so encoder pipelines (``H D₃ H D₂ H D₁ x``) reuse one
   work buffer across the whole chain.  Rows are processed in cache-sized

@@ -40,9 +40,9 @@ axis=1)`` at the memory's dtype) and passes them as ``query_norms`` to
 and :meth:`~AssociativeMemory.topk` (and to the Algorithm-1 pass and the
 top-2 partition).  Anything that rewrites the encoding, such as a
 regeneration's ``set_columns``, starts a new version, and the caller
-recomputes the norms.  They are sliced with each ``chunk_size`` window,
-the scores are bit-identical to a call without them, and a length that
-does not match the queries raises ``ValueError``.
+recomputes the norms.  The scores are bit-identical to a call without
+them, and a length that does not match the queries raises
+``ValueError``.
 
 **Locking contract (concurrent use).**  The memory takes no locks; the
 guarantees under one writer (e.g. an online-adaptation ``partial_fit``)
@@ -64,7 +64,7 @@ racing any number of reader threads (``predict`` / ``similarities``) are:
 
 from __future__ import annotations
 
-from typing import Any, Optional, Tuple
+from typing import Any, Tuple
 
 import numpy as np
 
@@ -348,7 +348,6 @@ class AssociativeMemory:
         self,
         encoded: Any,
         *,
-        chunk_size: Optional[int] = None,
         query_norms: Any = None,
     ) -> np.ndarray:
         """``(n, k)`` similarity scores between queries and classes.
@@ -356,12 +355,8 @@ class AssociativeMemory:
         The returned array is a float64 NumPy *container*; values are
         computed at the memory's storage dtype (float32-precision scores
         for the default hot path — see the module docstring for the
-        contract).  ``chunk_size`` streams the queries in row windows so
-        peak intermediate memory is ``O(chunk_size · D)`` regardless of
-        batch size; each query row's score depends only on that row, so
-        chunking changes results only by BLAS accumulation-order rounding.
-        ``query_norms`` are the queries' precomputed ``(n,)`` row norms
-        (see "Norm caching" in the module docstring).
+        contract).  ``query_norms`` are the queries' precomputed ``(n,)``
+        row norms (see "Norm caching" in the module docstring).
         """
         H = self.as_encoded(encoded)
         b = self.backend
@@ -370,42 +365,21 @@ class AssociativeMemory:
         ):
             H = b.asarray(H, dtype=self.dtype)
         norms = self.class_norms() if self.metric == "cosine" else None
-        n = int(H.shape[0])
-        check_query_norms(query_norms, n)
-        if chunk_size is None or n <= int(chunk_size):
-            return b.similarity_scores(
-                H, self._vectors, metric=self.metric, memory_norms=norms,
-                query_norms=query_norms,
-            )
-        if chunk_size <= 0:
-            raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-        chunk = int(chunk_size)
-        out = np.empty((n, self.n_classes), dtype=np.float64)
-        for start in range(0, n, chunk):
-            stop = min(start + chunk, n)
-            out[start:stop] = b.similarity_scores(
-                b.slice_rows(H, start, stop),
-                self._vectors,
-                metric=self.metric,
-                memory_norms=norms,
-                query_norms=None if query_norms is None
-                else b.slice_rows(query_norms, start, stop),
-            )
-        return out
+        check_query_norms(query_norms, int(H.shape[0]))
+        return b.similarity_scores(
+            H, self._vectors, metric=self.metric, memory_norms=norms,
+            query_norms=query_norms,
+        )
 
     def predict(
         self,
         encoded: Any,
         *,
-        chunk_size: Optional[int] = None,
         query_norms: Any = None,
     ) -> np.ndarray:
         """Most-similar class per query (paper inference step F)."""
         return np.argmax(
-            self.similarities(
-                encoded, chunk_size=chunk_size, query_norms=query_norms
-            ),
-            axis=1,
+            self.similarities(encoded, query_norms=query_norms), axis=1
         )
 
     def topk(
@@ -413,22 +387,19 @@ class AssociativeMemory:
         encoded: Any,
         k: int = 2,
         *,
-        chunk_size: Optional[int] = None,
         query_norms: Any = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Top-``k`` labels and their scores, most similar first.
 
         Returns ``(labels, scores)`` with shapes ``(n, k)``; selection uses
         an argpartition-style partial sort rather than a full argsort.
-        ``chunk_size`` and ``query_norms`` are as in :meth:`similarities`.
+        ``query_norms`` is as in :meth:`similarities`.
         """
         if not 1 <= k <= self.n_classes:
             raise ValueError(
                 f"k must lie in [1, {self.n_classes}], got {k}"
             )
-        sims = self.similarities(
-            encoded, chunk_size=chunk_size, query_norms=query_norms
-        )
+        sims = self.similarities(encoded, query_norms=query_norms)
         return self.backend.topk_desc(sims, k)
 
     def normalized_native(self) -> Any:

@@ -247,7 +247,6 @@ def packed_hamming_similarity(
     m_words: Any,
     dim: int,
     backend: BackendLike = None,
-    chunk_size: Any = None,
 ) -> np.ndarray:
     """Similarity ``(dim − 2·hamming) / dim`` between packed hypervectors.
 
@@ -260,5 +259,4 @@ def packed_hamming_similarity(
     unpacked codes.
     """
     b = get_backend(backend)
-    return b.hamming_scores_packed(q_words, m_words, int(dim),
-                                   chunk_size=chunk_size)
+    return b.hamming_scores_packed(q_words, m_words, int(dim))

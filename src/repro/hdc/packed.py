@@ -37,7 +37,7 @@ fallback and assert bit-identical scores.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -196,15 +196,15 @@ popcount_words: Callable[[np.ndarray], np.ndarray] = (
 def hamming_counts_packed(
     q_words: np.ndarray,
     m_words: np.ndarray,
-    chunk_size: Optional[int] = None,
 ) -> np.ndarray:
     """Raw Hamming distances (differing-bit counts) between packed rows.
 
     ``q_words`` is ``(n, W)``, ``m_words`` is ``(k, W)``; returns an
     ``(n, k)`` int64 count matrix via XOR + popcount.  With the pad-bit
     contract in force the pad region XORs to zero and contributes nothing.
-    ``chunk_size`` bounds the ``(chunk, k, W)`` XOR temporary for large
-    query batches (``None`` processes the batch at once).
+    This is the reference kernel: it builds the whole ``(n, k, W)`` XOR
+    temporary, where ``NumpyBackend``'s tuned kernel streams it in
+    :func:`repro.backend.base.auto_chunk_rows` windows.
     """
     Q = _check_words(q_words, "q_words")
     M = _check_words(m_words, "m_words")
@@ -213,23 +213,14 @@ def hamming_counts_packed(
             f"q_words and m_words disagree on word count: "
             f"{Q.shape[1]} vs {M.shape[1]}"
         )
-    n = Q.shape[0]
-    counts = np.empty((n, M.shape[0]), dtype=np.int64)
-    step = n if chunk_size is None else max(1, int(chunk_size))
-    for start in range(0, n, step):
-        stop = min(start + step, n)
-        xor = Q[start:stop, None, :] ^ M[None, :, :]
-        counts[start:stop] = popcount_words(xor).sum(
-            axis=-1, dtype=np.int64
-        )
-    return counts
+    xor = Q[:, None, :] ^ M[None, :, :]
+    return popcount_words(xor).sum(axis=-1, dtype=np.int64)
 
 
 def hamming_scores_packed(
     q_words: np.ndarray,
     m_words: np.ndarray,
     dim: int,
-    chunk_size: Optional[int] = None,
 ) -> np.ndarray:
     """Similarity scores ``(dim - 2*hamming) / dim`` between packed rows.
 
@@ -240,7 +231,7 @@ def hamming_scores_packed(
     """
     if dim <= 0:
         raise ValueError(f"dim must be positive, got {dim}")
-    counts = hamming_counts_packed(q_words, m_words, chunk_size=chunk_size)
+    counts = hamming_counts_packed(q_words, m_words)
     scale = np.float64(dim)
     return (scale - 2.0 * counts.astype(np.float64)) / scale
 

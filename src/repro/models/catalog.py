@@ -89,14 +89,6 @@ def _register_all() -> None:
             Hyperparam("beta", 1.0, (), "wrong-label proximity weight"),
             Hyperparam("theta", 0.25, (), "second wrong-label weight"),
             _ITERATIONS,
-            Hyperparam(
-                "chunk_size", None, (),
-                "row-chunk bound for inference/scoring memory",
-            ),
-            Hyperparam(
-                "fused_regen", True, (),
-                "fused chunked Algorithm-2 scoring (off = dense reference)",
-            ),
             _N_JOBS,
             _BACKEND,
             _DTYPE,

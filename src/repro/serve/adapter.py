@@ -283,10 +283,8 @@ class OnlineAdapter:
         if bits is None and isinstance(served, QuantizedHDCModel):
             bits = served.bits
         self.bits = bits
-        # Inference-memory bound carried onto every promoted artifact,
-        # including rebuilds after a standby loss.
-        self._chunk_size = getattr(served, "chunk_size", None)
-        # Packed storage mode propagates the same way: a served bit-packed
+        # Packed storage mode propagates onto every promoted artifact,
+        # including rebuilds after a standby loss: a served bit-packed
         # artifact re-quantizes *and re-packs* on every promotion, so the
         # caller keeps seeing packed artifacts across hot-swaps.
         self._packed = bool(getattr(served, "packed", False))
@@ -294,9 +292,7 @@ class OnlineAdapter:
         # standby (off rotation, drained) is refresh()ed in place and
         # promoted; the retired artifact becomes the next standby.
         self._standby: Optional[QuantizedHDCModel] = (
-            QuantizedHDCModel(base_model, bits=self.bits,
-                              chunk_size=self._chunk_size,
-                              packed=self._packed)
+            QuantizedHDCModel(base_model, bits=self.bits, packed=self._packed)
             if isinstance(served, QuantizedHDCModel) else None
         )
 
@@ -499,8 +495,7 @@ class OnlineAdapter:
             return self._standby.refresh()
         if self.bits is not None:
             return QuantizedHDCModel(
-                self.base_model, bits=self.bits,
-                chunk_size=self._chunk_size, packed=self._packed,
+                self.base_model, bits=self.bits, packed=self._packed,
             )
         # Raw serving: snapshot the adapted learner so the served object
         # is never trained in place.

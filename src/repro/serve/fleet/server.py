@@ -95,7 +95,11 @@ from repro.serve.fleet.ring import Ring
 from repro.serve.fleet.shm import EXIT_CORRUPT, SharedArtifact
 from repro.serve.fleet.worker import fleet_worker_main, resolve_worker_count
 from repro.serve.metrics import ServerMetrics
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import (
+    check_non_negative_float,
+    check_positive_float,
+    check_positive_int,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.obs import Observability
@@ -106,6 +110,18 @@ RUNNING = "running"
 BACKOFF = "backoff"
 BROKEN = "broken"
 STOPPED = "stopped"
+
+#: Request deadline, in seconds, when the caller passes no ``timeout``.
+DEFAULT_TIMEOUT_S = 5.0
+#: Seconds between worker heartbeats, and between watchdog ticks.
+HEARTBEAT_INTERVAL_S = 0.05
+#: Seconds a spawned worker has to report ready before it counts as dead
+#: (and the constructor's wait for the whole fleet to come up).
+START_TIMEOUT_S = 30.0
+#: Cap, in seconds, on the exponential restart backoff.
+RESTART_BACKOFF_MAX_S = 2.0
+#: Dispatch attempts a ``predict`` request gets across worker losses.
+MAX_RETRIES = 2
 
 #: A numbered pipe item and where it goes: ``(conn, send_lock, item)``.
 _Send = Tuple[Optional[Connection], Any, Tuple[Any, ...]]
@@ -235,21 +251,21 @@ class FleetServer:
         knob, and the slot count of each worker's rings.  Total fleet
         capacity is ``n_workers * queue_depth`` queued + in-flight
         requests; beyond it submits shed with :class:`Overloaded`.
-    default_timeout_s:
-        Request deadline when the caller does not pass one.
-    heartbeat_interval_s / hang_timeout_s:
-        Worker heartbeat cadence and the heartbeat age past which a live
-        process counts as hung (and is SIGKILLed + restarted).
-    restart_backoff_s / restart_backoff_max_s:
+    hang_timeout_s:
+        The heartbeat age past which a live process counts as hung (and
+        is SIGKILLed + restarted).  Workers beat every
+        :data:`HEARTBEAT_INTERVAL_S`.
+    restart_backoff_s:
         Exponential restart backoff: death *k* within the window waits
-        ``backoff * 2**(k-1)`` seconds, capped.
+        ``restart_backoff_s * 2**(k-1)`` seconds, capped at
+        :data:`RESTART_BACKOFF_MAX_S`.
     max_restarts / restart_window_s:
         Crash-loop circuit breaker: ``max_restarts`` deaths inside
         ``restart_window_s`` mark the slot broken (no further restarts).
-    retry_on_worker_loss:
-        Retry a dead worker's in-flight ``predict`` requests on a
-        survivor (idempotent; ``scores`` requests fail with
-        :class:`WorkerCrashed` — callers own non-idempotent semantics).
+        A dead worker's in-flight ``predict`` requests are retried on a
+        survivor, up to :data:`MAX_RETRIES` attempts (idempotent;
+        ``scores`` requests fail with :class:`WorkerCrashed` — callers
+        own non-idempotent semantics).
     service_floor_s:
         Minimum per-request service time workers enforce (sleeping in
         heartbeat-preserving slices).  ``0`` serves at compute speed;
@@ -273,21 +289,13 @@ class FleetServer:
         *,
         n_workers: Optional[int] = 2,
         queue_depth: int = 16,
-        default_timeout_s: float = 5.0,
-        heartbeat_interval_s: float = 0.05,
         hang_timeout_s: float = 2.0,
-        start_timeout_s: float = 30.0,
         restart_backoff_s: float = 0.1,
-        restart_backoff_max_s: float = 2.0,
         max_restarts: int = 3,
         restart_window_s: float = 5.0,
-        max_retries: int = 2,
-        retry_on_worker_loss: bool = True,
         service_floor_s: float = 0.0,
         crc_check_every: int = 64,
         start_method: Optional[str] = None,
-        metrics_window: int = 8192,
-        wait_ready: bool = True,
         obs: Optional["Observability"] = None,
     ) -> None:
         artifact = as_quantized_artifact(model)
@@ -295,20 +303,22 @@ class FleetServer:
             n_workers if n_workers is not None else 1
         )
         self.queue_depth = check_positive_int(queue_depth, "queue_depth")
-        self.default_timeout_s = float(default_timeout_s)
-        self.heartbeat_interval_s = float(heartbeat_interval_s)
-        self.hang_timeout_s = float(hang_timeout_s)
-        self.start_timeout_s = float(start_timeout_s)
-        self.restart_backoff_s = float(restart_backoff_s)
-        self.restart_backoff_max_s = float(restart_backoff_max_s)
+        self.hang_timeout_s = check_positive_float(
+            hang_timeout_s, "hang_timeout_s"
+        )
+        self.restart_backoff_s = check_non_negative_float(
+            restart_backoff_s, "restart_backoff_s"
+        )
         self.max_restarts = check_positive_int(max_restarts, "max_restarts")
-        self.restart_window_s = float(restart_window_s)
-        self.max_retries = int(max_retries)
-        self.retry_on_worker_loss = bool(retry_on_worker_loss)
-        self.service_floor_s = float(service_floor_s)
+        self.restart_window_s = check_positive_float(
+            restart_window_s, "restart_window_s"
+        )
+        self.service_floor_s = check_non_negative_float(
+            service_floor_s, "service_floor_s"
+        )
         self.crc_check_every = int(crc_check_every)
         self.obs = obs
-        self.metrics = ServerMetrics(window=metrics_window, obs=obs)
+        self.metrics = ServerMetrics(obs=obs)
 
         if start_method is None:
             start_method = (
@@ -333,7 +343,7 @@ class FleetServer:
         self._epoch = 1
         self._artifact = SharedArtifact.publish(artifact, epoch=self._epoch)
         self._worker_config: Dict[str, Any] = {
-            "heartbeat_interval_s": self.heartbeat_interval_s,
+            "heartbeat_interval_s": HEARTBEAT_INTERVAL_S,
             "crc_check_every": self.crc_check_every,
             "service_floor_s": self.service_floor_s,
             "flight_dir": (
@@ -357,12 +367,10 @@ class FleetServer:
                 self._start_worker(index)
             self._collector.start()
             self._watchdog.start()
-            if wait_ready and not self.wait_all_running(
-                timeout=self.start_timeout_s
-            ):
+            if not self.wait_all_running(timeout=START_TIMEOUT_S):
                 raise RuntimeError(
                     f"fleet failed to start: "
-                    f"{self.worker_states()} after {self.start_timeout_s}s"
+                    f"{self.worker_states()} after {START_TIMEOUT_S}s"
                 )
             from repro.serve import shutdown as shutdown_registry
 
@@ -569,9 +577,7 @@ class FleetServer:
         ctx: Optional[TraceContext] = None,
     ) -> Future:
         rows = self._validate(X)
-        timeout_s = (
-            self.default_timeout_s if timeout is None else float(timeout)
-        )
+        timeout_s = DEFAULT_TIMEOUT_S if timeout is None else float(timeout)
         pending = _Pending(kind, rows, time.time() + timeout_s, ctx)
         sends: List[_Send] = []
         with self._lock:
@@ -617,7 +623,7 @@ class FleetServer:
 
     def predict(self, X: Any, timeout: Optional[float] = None) -> np.ndarray:
         """Synchronous fleet prediction (submit + wait)."""
-        wait_s = self.default_timeout_s if timeout is None else float(timeout)
+        wait_s = DEFAULT_TIMEOUT_S if timeout is None else float(timeout)
         result = self.submit_predict(X, timeout).result(timeout=wait_s + 2.0)
         return np.asarray(result)
 
@@ -625,7 +631,7 @@ class FleetServer:
         self, X: Any, timeout: Optional[float] = None
     ) -> np.ndarray:
         """Synchronous fleet scores (submit + wait)."""
-        wait_s = self.default_timeout_s if timeout is None else float(timeout)
+        wait_s = DEFAULT_TIMEOUT_S if timeout is None else float(timeout)
         result = self.submit_decision_scores(X, timeout).result(
             timeout=wait_s + 2.0
         )
@@ -842,7 +848,7 @@ class FleetServer:
                 self.metrics.record_problem(
                     "watchdog-error", f"{type(exc).__name__}: {exc}"
                 )
-            self._closed_event.wait(self.heartbeat_interval_s)
+            self._closed_event.wait(HEARTBEAT_INTERVAL_S)
 
     def _watch_tick(self) -> None:
         now = time.time()
@@ -862,8 +868,7 @@ class FleetServer:
                         dead.append((handle, "hung"))
                     elif (
                         handle.state == STARTING
-                        and now - handle.started_at
-                        > self.start_timeout_s
+                        and now - handle.started_at > START_TIMEOUT_S
                     ):
                         dead.append((handle, "start-timeout"))
                 elif (
@@ -941,7 +946,7 @@ class FleetServer:
                 handle.state = BACKOFF
                 backoff = min(
                     self.restart_backoff_s * (2 ** (strikes - 1)),
-                    self.restart_backoff_max_s,
+                    RESTART_BACKOFF_MAX_S,
                 )
                 handle.restart_at = now + backoff
             new_state = handle.state
@@ -999,9 +1004,8 @@ class FleetServer:
             outcome = "fail"
             sends: List[_Send] = []
             retryable = (
-                self.retry_on_worker_loss
-                and pending.kind == PREDICT
-                and pending.attempts < self.max_retries
+                pending.kind == PREDICT
+                and pending.attempts < MAX_RETRIES
                 and time.time() < pending.deadline
             )
             if retryable:

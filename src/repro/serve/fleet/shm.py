@@ -140,7 +140,6 @@ class SharedArtifact:
         model_meta: Dict[str, Any] = {
             "bits": int(artifact.bits),
             "packed": bool(artifact.packed),
-            "chunk_size": artifact.chunk_size,
             "dim": int(artifact._dim),
             "n_cells": int(artifact._n_cells),
             "n_features": int(artifact.n_features_),
@@ -319,9 +318,6 @@ class SharedArtifact:
         model = object.__new__(QuantizedHDCModel)
         model.classifier = None
         model.bits = int(meta["bits"])
-        model.chunk_size = (
-            int(meta["chunk_size"]) if meta["chunk_size"] is not None else None
-        )
         model.packed = bool(meta["packed"])
         model.refresh_count = 0
         model.encoder = encoder

@@ -175,9 +175,6 @@ class ModelServer:
         path (``str`` / ``Path``) to load it from.
     max_batch_size:
         Row cap of one batch (see :class:`~repro.serve.batcher.MicroBatcher`).
-    metrics_window:
-        Latency-percentile window (see
-        :class:`~repro.serve.metrics.ServerMetrics`).
     retain_retired:
         Keep retired versions' model objects alive.  Off by default —
         retiring releases the reference once the adapter (or any caller
@@ -212,12 +209,11 @@ class ModelServer:
         model: Any,
         *,
         max_batch_size: int = 64,
-        metrics_window: int = 8192,
         retain_retired: bool = False,
         obs: Optional["Observability"] = None,
     ) -> None:
         self.obs = obs
-        self.metrics = ServerMetrics(window=metrics_window, obs=obs)
+        self.metrics = ServerMetrics(obs=obs)
         self.retain_retired = bool(retain_retired)
         self._swap_lock = make_lock("ModelServer._swap_lock")
         self._versions: List[ModelVersion] = []

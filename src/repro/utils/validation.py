@@ -118,7 +118,7 @@ def check_positive_float(value, name: str) -> float:
 
 def check_optional_positive_int(value, name: str) -> Optional[int]:
     """Validate a knob that is either ``None`` or a positive integer
-    (``batch_size``, ``chunk_size``, ``convergence_patience``)."""
+    (``batch_size``, ``convergence_patience``)."""
     if value is None:
         return None
     if int(value) <= 0 or int(value) != value:

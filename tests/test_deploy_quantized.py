@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.backend.base as window_rule
 from repro.baselines.knn import KNNClassifier
 from repro.core.disthd import DistHDClassifier
 from repro.deploy.quantized import QuantizedHDCModel, QuantizedTrainer
@@ -39,9 +40,9 @@ class TestConstruction:
     ], ids=["QuantizedHDCModel", "QuantizedTrainer"])
     def test_chunk_size_checked_at_construction(self, fitted, build,
                                                 chunk_size):
-        """Not at the first predict or fit, and as the same ValueError
-        ``DistHDConfig`` raises."""
-        with pytest.raises(ValueError, match="chunk_size must be positive"):
+        """The option is gone: any value is refused at construction as
+        an unexpected keyword, not swallowed and ignored."""
+        with pytest.raises(TypeError, match="chunk_size"):
             build(fitted, chunk_size)
 
 
@@ -317,15 +318,17 @@ class TestPacked:
         _, _, test_x, test_y = small_problem
         assert artifact.score(test_x, test_y) > 0.6
 
-    def test_chunk_size_invariance(self, fitted, small_problem):
+    def test_chunk_size_invariance(self, fitted, small_problem,
+                                   monkeypatch):
         _, _, test_x, _ = small_problem
-        full = QuantizedHDCModel(fitted, bits=1, packed=True)
-        chunked = QuantizedHDCModel(
-            fitted, bits=1, packed=True, chunk_size=7
-        )
-        np.testing.assert_array_equal(
-            full.decision_scores(test_x), chunked.decision_scores(test_x)
-        )
+        model = QuantizedHDCModel(fitted, bits=1, packed=True)
+        full = model.score_encoded(model.encode(test_x))
+        # Windows of 7 rows at D = 128 (the rule's floor drops to 2 rows).
+        monkeypatch.setattr(window_rule, "_REFRESH_ELEMENTS", 7 * 128)
+        monkeypatch.setattr(window_rule, "_EXACT_GEMM_ELEMENTS", 2)
+        windows = window_rule.refresh_windows(len(test_x), 128)
+        assert [b - a for a, b in windows] == [7] * 8 + [5]
+        np.testing.assert_array_equal(model.decision_scores(test_x), full)
 
     def test_memory_is_word_storage(self, fitted, artifact):
         k = fitted.classes_.size

@@ -11,6 +11,7 @@ the base class's reference.
 import numpy as np
 import pytest
 
+import repro.backend.base as window_rule
 from repro.backend import get_backend
 from repro.hdc import packed
 from repro.hdc.ops import (
@@ -136,20 +137,19 @@ class TestPackedScores:
 
     @pytest.mark.parametrize("dim", DIMS)
     @pytest.mark.parametrize("chunk_size", (1, 3, 64, None))
-    def test_chunk_size_invariance(self, dim, chunk_size):
+    def test_chunk_size_invariance(self, dim, chunk_size, monkeypatch):
+        """The NumPy kernel's XOR scratch chunks (``None``: the default
+        rule, one chunk here) score as the reference's whole batch."""
         rng = np.random.default_rng(dim + 1)
         qw = packed.pack_sign_rows(_rand_bipolar(rng, 10, dim))
         mw = packed.pack_sign_rows(_rand_bipolar(rng, 4, dim))
         full = packed.hamming_scores_packed(qw, mw, dim)
+        if chunk_size is not None:
+            monkeypatch.setattr(
+                window_rule, "auto_chunk_rows", lambda dim: chunk_size
+            )
         np.testing.assert_array_equal(
-            packed.hamming_scores_packed(qw, mw, dim, chunk_size=chunk_size),
-            full,
-        )
-        np.testing.assert_array_equal(
-            get_backend("numpy").hamming_scores_packed(
-                qw, mw, dim, chunk_size=chunk_size
-            ),
-            full,
+            get_backend("numpy").hamming_scores_packed(qw, mw, dim), full
         )
 
     def test_matches_dense_hamming_similarity(self):

@@ -3,9 +3,9 @@
 What the code keeps (docs/performance.md, "Encode determinism"):
 
 - a dense :class:`RBFEncoder` row encodes bit for bit alike in every row
-  window of at least two rows, so chunked and unchunked encodes of such
-  windows are identical;
-- a lone row (chunk size 1, a one-row tail, a one-row request) goes
+  window of at least two rows, so a batch encoded window by window and
+  concatenated is identical to the batch encoded at once;
+- a lone row (a one-row window, a one-row tail, a one-row request) goes
   through a different BLAS kernel and agrees with the same row inside a
   batch to float rounding only; its packed sign bits equal the batch's
   except at cells whose magnitude is within that rounding bound;
@@ -33,7 +33,7 @@ keeps, against scoring the whole batch as one window:
   encoding.
 
 After a regeneration the structured encoders gather their output row-major
-(``np.take``), so an unchunked encode stays C-ordered like a chunked one
+(``np.take``), so a whole-batch encode stays C-ordered like a windowed one
 and scores bit for bit alike.
 """
 
@@ -73,8 +73,16 @@ def _encoder(kind, n_features, dtype):
     return cls(n_features, DIM, seed=11, dtype=dtype)
 
 
-def _encode(encoder, X, chunk_size=None):
-    return np.asarray(encoder.encode(X, chunk_size=chunk_size))
+def _encode(encoder, X):
+    return np.asarray(encoder.encode(X))
+
+
+def _encode_windows(encoder, X, rows):
+    """``X`` encoded ``rows`` rows at a time and concatenated, as
+    :class:`~repro.deploy.StagedModel` and a fleet batch encode it."""
+    return np.concatenate(
+        [_encode(encoder, X[i:i + rows]) for i in range(0, len(X), rows)]
+    )
 
 
 def _rows(seed, n_rows, n_features):
@@ -121,11 +129,13 @@ class TestEncodeDeterminism:
         encoder = _encoder(kind, n_features, dtype)
         X = _rows(seed, n_rows, n_features)
         full = _encode(encoder, X)
-        chunk = data.draw(
+        window = data.draw(
             st.integers(2, n_rows).filter(lambda c: n_rows % c != 1),
-            label="chunk",
+            label="window",
         )
-        np.testing.assert_array_equal(_encode(encoder, X, chunk), full)
+        np.testing.assert_array_equal(
+            _encode_windows(encoder, X, window), full
+        )
         start = data.draw(st.integers(0, n_rows - 2), label="start")
         stop = data.draw(st.integers(start + 2, n_rows), label="stop")
         np.testing.assert_array_equal(
@@ -141,19 +151,21 @@ class TestEncodeDeterminism:
         encoder = _encoder(kind, n_features, dtype)
         X = _rows(seed, n_rows, n_features)
         full = _encode(encoder, X)
-        # Chunk size 1: every row is lone.
-        _lone_rows_agree(encoder, kind, X, _encode(encoder, X, 1), full)
-        # A chunk size that leaves a one-row tail: only the tail is lone.
-        chunk = data.draw(
+        # One-row windows: every row is lone.
+        _lone_rows_agree(
+            encoder, kind, X, _encode_windows(encoder, X, 1), full
+        )
+        # A window size that leaves a one-row tail: only the tail is lone.
+        window = data.draw(
             st.sampled_from(
                 [c for c in range(2, n_rows) if n_rows % c == 1] or [None]
             ),
-            label="chunk",
+            label="window",
         )
-        if chunk is not None:
-            chunked = _encode(encoder, X, chunk)
-            np.testing.assert_array_equal(chunked[:-1], full[:-1])
-            _lone_rows_agree(encoder, kind, X[-1:], chunked[-1:], full[-1:])
+        if window is not None:
+            windowed = _encode_windows(encoder, X, window)
+            np.testing.assert_array_equal(windowed[:-1], full[:-1])
+            _lone_rows_agree(encoder, kind, X[-1:], windowed[-1:], full[-1:])
 
     @EXAMPLES
     @given(case=windows, data=st.data())
@@ -212,11 +224,10 @@ def _artifacts(kind, n_features, dtype):
     }
 
 
-def _scores(model, X, chunk_size=None):
-    """``staged_scores`` of ``model`` at ``chunk_size``, and the row
-    windows its encoder saw."""
+def _scores(model, X):
+    """``staged_scores`` of ``model``, and the row windows its encoder
+    saw."""
     model = copy.copy(model)
-    model.chunk_size = chunk_size
     seen = []
 
     def encode(window):
@@ -266,8 +277,7 @@ class TestInferenceWindows:
             for artifact, model in _artifacts(kind, n_features, dtype).items():
                 windowed, seen = _scores(model, X)
                 assert seen == expected
-                whole, seen = _scores(model, X, chunk_size=n)
-                assert seen == [n]
+                whole = model.score_encoded(model.encode(X))
                 if artifact == "packed":
                     assert windowed.tobytes() == whole.tobytes()
                 else:
@@ -284,7 +294,7 @@ class TestInferenceWindows:
         for artifact, model in _artifacts(kind, n_features, dtype).items():
             windowed, seen = _scores(model, X)
             assert seen == [128] * 10 + [100]
-            whole, _ = _scores(model, X, chunk_size=len(X))
+            whole = model.score_encoded(model.encode(X))
             assert windowed.tobytes() == whole.tobytes(), artifact
             np.testing.assert_array_equal(
                 model.predict(X), model.classes_[np.argmax(whole, axis=1)]
@@ -322,20 +332,20 @@ def test_packed_predict_peak_is_one_window():
     functools.partial(StructuredProjectionEncoder, activation="linear"),
 ], ids=["fastfood-rbf", "structured"])
 def test_structured_encode_row_major_after_regeneration(encoder_cls, dtype):
-    """Once dimensions are regenerated an unchunked structured encode is
-    C-ordered, like a chunked one, and scores bit for bit alike (a
+    """Once dimensions are regenerated a whole-batch structured encode is
+    C-ordered, like a windowed one, and scores bit for bit alike (a
     column-major encoding took another row-norm path, ~6e-8 apart)."""
     encoder = encoder_cls(54, 1024, seed=2, dtype=dtype)
     rng = np.random.default_rng(2)
     encoder.regenerate(np.sort(rng.choice(1024, size=300, replace=False)))
     X = rng.normal(size=(256, 54))
     whole = encoder.encode(X)
-    chunked = encoder.encode(X, chunk_size=64)
+    windowed = _encode_windows(encoder, X, 64)
     assert whole.flags.c_contiguous
-    assert whole.tobytes() == chunked.tobytes()
+    assert whole.tobytes() == windowed.tobytes()
     memory = AssociativeMemory(N_CLASSES, 1024, dtype=dtype)
     memory.set_vectors(rng.normal(size=(N_CLASSES, 1024)))
     assert (
         memory.similarities(whole).tobytes()
-        == memory.similarities(chunked).tobytes()
+        == memory.similarities(windowed).tobytes()
     )

@@ -6,9 +6,11 @@ Guarantees pinned here:
   ``ArrayBackend.fused_absdiff_colsum``) matches the dense reference
   (``distance_matrices`` + normalise + column-sum) to tight tolerance
   across dtypes, both incorrect rules, every normalization and arbitrary
-  chunk sizes, on every backend :func:`~repro.backend.list_backends` names;
-- chunked ``similarities`` / ``predict`` / ``topk`` / encoder ``encode``
-  equal their unchunked forms exactly;
+  scratch chunks (forced by monkeypatching
+  :func:`repro.backend.base.auto_chunk_rows`), on every backend
+  :func:`~repro.backend.list_backends` names;
+- ``similarities`` / ``predict`` / ``topk`` / encoder ``encode`` called
+  on row windows agree with one call on the whole batch;
 - the fused path allocates no ``(n, D)`` distance temporaries — its traced
   allocation peak stays far below one dense distance matrix;
 - the cache-aware column kernels (``set_columns`` row windows,
@@ -22,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.backend.base as window_rule
 from repro.backend import get_backend, list_backends
 from repro.core.regeneration import (
     _normalize_matrix,
@@ -47,6 +50,17 @@ def make_problem(seed, n=160, dim=48, k=5, dtype=np.float32, backend="numpy"):
     return encoded, y, partition, memory
 
 
+def force_chunk_rows(patch, rows):
+    """Make the fused kernels stream their scratch ``rows`` rows at a
+    time (the NumPy kernels look the rule up at call time)."""
+    patch.setattr(window_rule, "auto_chunk_rows", lambda dim: rows)
+
+
+def windows(X, rows):
+    """``X`` split into consecutive ``rows``-row windows."""
+    return [X[i:i + rows] for i in range(0, len(X), rows)]
+
+
 def dense_scores(encoded, y, partition, memory, rule, normalization):
     """The dense reference: matrices → row-normalise → float64 column sums."""
     M, N = distance_matrices(encoded, y, partition, memory, incorrect_rule=rule)
@@ -62,7 +76,8 @@ class TestFusedMatchesDense:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("rule", ["prose", "algorithm-box"])
     @pytest.mark.parametrize("normalization", ["l2", "l1", "minmax", "none"])
-    def test_scores_match(self, backend, dtype, rule, normalization):
+    def test_scores_match(self, backend, dtype, rule, normalization,
+                          monkeypatch):
         encoded, y, partition, memory = make_problem(
             7, dtype=dtype, backend=backend
         )
@@ -70,9 +85,10 @@ class TestFusedMatchesDense:
         ref_m, ref_n = dense_scores(
             encoded, y, partition, memory, rule, normalization
         )
+        force_chunk_rows(monkeypatch, 13)
         got_m, got_n = fused_dimension_scores(
             encoded, y, partition, memory,
-            incorrect_rule=rule, normalization=normalization, chunk_size=13,
+            incorrect_rule=rule, normalization=normalization,
         )
         rtol = 2e-4 if dtype == np.float32 else 1e-10
         np.testing.assert_allclose(got_m, ref_m, rtol=rtol, atol=1e-6)
@@ -98,13 +114,13 @@ class TestFusedMatchesDense:
     def test_chunk_size_never_changes_scores(self, seed, chunk, rule):
         encoded, y, partition, memory = make_problem(seed, n=120, dim=32)
         ref_m, ref_n = fused_dimension_scores(
-            encoded, y, partition, memory,
-            incorrect_rule=rule, chunk_size=None,
+            encoded, y, partition, memory, incorrect_rule=rule,
         )
-        got_m, got_n = fused_dimension_scores(
-            encoded, y, partition, memory,
-            incorrect_rule=rule, chunk_size=chunk,
-        )
+        with pytest.MonkeyPatch.context() as patch:
+            force_chunk_rows(patch, chunk)
+            got_m, got_n = fused_dimension_scores(
+                encoded, y, partition, memory, incorrect_rule=rule,
+            )
         for ref, got in ((ref_m, got_m), (ref_n, got_n)):
             assert (ref is None) == (got is None)
             if ref is not None:
@@ -162,23 +178,29 @@ class TestChunkedQueriesMatchUnchunked:
     def test_similarities_predict_topk(self, chunk):
         encoded, y, partition, memory = make_problem(23)
         ref = memory.similarities(encoded)
+        parts = windows(encoded, chunk)
         # Equal up to BLAS accumulation-order rounding: small chunks hit
         # gemv instead of gemm, which sums in a different order.
         np.testing.assert_allclose(
-            memory.similarities(encoded, chunk_size=chunk), ref,
+            np.concatenate([memory.similarities(p) for p in parts]), ref,
             rtol=1e-5, atol=1e-7,
         )
         np.testing.assert_array_equal(
-            memory.predict(encoded, chunk_size=chunk), memory.predict(encoded)
+            np.concatenate([memory.predict(p) for p in parts]),
+            memory.predict(encoded),
         )
         ref_l, ref_s = memory.topk(encoded, 2)
-        got_l, got_s = memory.topk(encoded, 2, chunk_size=chunk)
+        tops = [memory.topk(p, 2) for p in parts]
+        got_l = np.concatenate([labels for labels, _ in tops])
+        got_s = np.concatenate([scores for _, scores in tops])
         np.testing.assert_array_equal(got_l, ref_l)
         np.testing.assert_allclose(got_s, ref_s, rtol=1e-5, atol=1e-7)
 
     def test_bad_chunk_rejected(self):
+        # Windows come from the caller's slices only: the removed
+        # ``chunk_size`` is refused, not silently ignored.
         encoded, y, partition, memory = make_problem(29)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError, match="chunk_size"):
             memory.similarities(encoded, chunk_size=0)
 
     @pytest.mark.parametrize("chunk", [1, 9, 50])
@@ -187,10 +209,12 @@ class TestChunkedQueriesMatchUnchunked:
         X = rng.normal(size=(37, 6))
         enc = RBFEncoder(6, 24, seed=0, dtype="float32")
         ref = np.asarray(enc.encode(X))
-        got = np.asarray(enc.encode(X, chunk_size=chunk))
+        got = np.concatenate(
+            [np.asarray(enc.encode(part)) for part in windows(X, chunk)]
+        )
         np.testing.assert_array_equal(got, ref)
 
-    def test_disthd_chunked_decision_scores(self):
+    def test_disthd_chunked_decision_scores(self, monkeypatch):
         from repro.core.disthd import DistHDClassifier
 
         rng = np.random.default_rng(37)
@@ -199,11 +223,15 @@ class TestChunkedQueriesMatchUnchunked:
         ref = DistHDClassifier(
             dim=64, iterations=3, seed=0
         ).fit(X, y)
+        force_chunk_rows(monkeypatch, 16)
         chunked = DistHDClassifier(
-            dim=64, iterations=3, seed=0, chunk_size=16
+            dim=64, iterations=3, seed=0
         ).fit(X, y)
         np.testing.assert_allclose(
-            chunked.decision_scores(X), ref.decision_scores(X),
+            np.concatenate(
+                [chunked.decision_scores(part) for part in windows(X, 16)]
+            ),
+            ref.decision_scores(X),
             rtol=1e-6, atol=1e-7,
         )
         np.testing.assert_array_equal(chunked.predict(X), ref.predict(X))

@@ -133,41 +133,48 @@ def _memory_and_encoding(dtype=np.float32, n=300, dim=64, k=4, seed=0):
     return memory, encoded, labels
 
 
+def _windows(n, rows):
+    """Slices of ``rows`` rows over ``n`` rows (one slice for ``None``)."""
+    step = n if rows is None else rows
+    return [slice(i, i + step) for i in range(0, n, step)]
+
+
 class TestQueryNorms:
+    # Norms computed once over the whole encoding and sliced with each row
+    # window score like norms the window computes itself.
     @pytest.mark.parametrize(*DTYPES)
-    @pytest.mark.parametrize("chunk_size", [None, 64, 7])
-    def test_similarities_and_topk(self, dtype, chunk_size):
+    @pytest.mark.parametrize("rows", [None, 64, 7])
+    def test_similarities_and_topk(self, dtype, rows):
         memory, encoded, _ = _memory_and_encoding(dtype)
         norms = BACKEND.norm(encoded, axis=1)
-        _assert_bit_identical(
-            memory.similarities(
-                encoded, chunk_size=chunk_size, query_norms=norms
-            ),
-            memory.similarities(encoded, chunk_size=chunk_size),
-        )
-        for got, want in zip(
-            memory.topk(encoded, k=3, chunk_size=chunk_size,
-                        query_norms=norms),
-            memory.topk(encoded, k=3, chunk_size=chunk_size),
-        ):
-            _assert_bit_identical(got, want)
-        _assert_bit_identical(
-            memory.predict(encoded, chunk_size=chunk_size, query_norms=norms),
-            memory.predict(encoded, chunk_size=chunk_size),
-        )
+        for w in _windows(len(encoded), rows):
+            _assert_bit_identical(
+                memory.similarities(encoded[w], query_norms=norms[w]),
+                memory.similarities(encoded[w]),
+            )
+            for got, want in zip(
+                memory.topk(encoded[w], k=3, query_norms=norms[w]),
+                memory.topk(encoded[w], k=3),
+            ):
+                _assert_bit_identical(got, want)
+            _assert_bit_identical(
+                memory.predict(encoded[w], query_norms=norms[w]),
+                memory.predict(encoded[w]),
+            )
 
-    @pytest.mark.parametrize("chunk_size", [None, 50])
-    def test_partition_outcomes(self, chunk_size):
+    @pytest.mark.parametrize("rows", [None, 50])
+    def test_partition_outcomes(self, rows):
         memory, encoded, labels = _memory_and_encoding()
         norms = BACKEND.norm(encoded, axis=1)
-        got = partition_outcomes(
-            memory, encoded, labels, chunk_size=chunk_size, query_norms=norms
-        )
-        want = partition_outcomes(
-            memory, encoded, labels, chunk_size=chunk_size
-        )
-        for field in ("correct", "partial", "incorrect", "top1", "top2"):
-            _assert_bit_identical(getattr(got, field), getattr(want, field))
+        for w in _windows(len(encoded), rows):
+            got = partition_outcomes(
+                memory, encoded[w], labels[w], query_norms=norms[w]
+            )
+            want = partition_outcomes(memory, encoded[w], labels[w])
+            for field in ("correct", "partial", "incorrect", "top1", "top2"):
+                _assert_bit_identical(
+                    getattr(got, field), getattr(want, field)
+                )
 
     @pytest.mark.parametrize(*DTYPES)
     @pytest.mark.parametrize(
@@ -196,8 +203,6 @@ class TestQueryNorms:
         short = BACKEND.norm(encoded[:-1], axis=1)
         with pytest.raises(ValueError, match="query_norms"):
             memory.similarities(encoded, query_norms=short)
-        with pytest.raises(ValueError, match="query_norms"):
-            memory.similarities(encoded, chunk_size=50, query_norms=short)
         with pytest.raises(ValueError, match="query_norms"):
             adaptive_fit_iteration(
                 memory, encoded, labels, batch_size=64,

@@ -4,6 +4,7 @@ encode→score→argmax pass both front ends serve through."""
 import numpy as np
 import pytest
 
+import repro.backend.base as window_rule
 from repro.deploy.quantized import QuantizedHDCModel
 from repro.models.registry import make_model
 from repro.persistence import LoadedHDCModel, load_model, save_model
@@ -13,7 +14,10 @@ from repro.serve.server import ModelServer
 
 SIZE_PARAMETERS = ("n_rows", [1, 3, 4, 17])
 
-#: ``(bits, packed, chunk_size)`` of every quantized artifact under test.
+DIM = 96
+
+#: ``(bits, packed, rows per window)`` of every quantized artifact under
+#: test (``None``: the default window rule).
 QUANTIZED = [
     (bits, packed, chunk)
     for bits, packed in ((1, False), (2, False), (4, False), (8, False),
@@ -25,9 +29,15 @@ QUANTIZED = [
 @pytest.fixture(scope="module")
 def fitted(small_problem):
     train_x, train_y, test_x, _ = small_problem
-    model = make_model("disthd", dim=96, iterations=2, seed=3)
+    model = make_model("disthd", dim=DIM, iterations=2, seed=3)
     model.fit(train_x, train_y)
     return model, test_x
+
+
+def _window_rows(monkeypatch, rows):
+    """Make artifacts of width ``DIM`` score ``rows``-row windows."""
+    monkeypatch.setattr(window_rule, "_REFRESH_ELEMENTS", rows * DIM)
+    monkeypatch.setattr(window_rule, "_EXACT_GEMM_ELEMENTS", 2)
 
 
 @pytest.fixture(scope="module")
@@ -88,12 +98,12 @@ class TestScoreRequests:
     @pytest.mark.parametrize("bits,packed,chunk", QUANTIZED)
     @pytest.mark.parametrize(*SIZE_PARAMETERS)
     def test_quantized_matches_own_path(
-        self, fitted, n_rows, bits, packed, chunk, lead
+        self, fitted, n_rows, bits, packed, chunk, lead, monkeypatch
     ):
         model, test_x = fitted
-        artifact = QuantizedHDCModel(
-            model, bits=bits, packed=packed, chunk_size=chunk
-        )
+        if chunk is not None:
+            _window_rows(monkeypatch, chunk)
+        artifact = QuantizedHDCModel(model, bits=bits, packed=packed)
         _check_parity(artifact, test_x[:n_rows], lead)
 
     @pytest.mark.parametrize("lead", [PREDICT, SCORES])
@@ -176,13 +186,19 @@ class TestAdmit:
 
 
 class TestChunkedArtifactIsTimed:
-    """An 8-row request to a ``chunk_size=4`` artifact is staged and
-    timed by both front ends, window by window."""
+    """An 8-row request to an artifact scoring 4-row windows is staged
+    and timed by both front ends, window by window (fleet workers fork
+    with the rule patched)."""
 
     @pytest.fixture(scope="class")
     def chunked(self, fitted):
         model, _ = fitted
-        return QuantizedHDCModel(model, bits=1, packed=True, chunk_size=4)
+        return QuantizedHDCModel(model, bits=1, packed=True)
+
+    @pytest.fixture(autouse=True)
+    def four_row_windows(self, monkeypatch):
+        _window_rows(monkeypatch, 4)
+        assert window_rule.refresh_windows(8, DIM) == [(0, 4), (4, 8)]
 
     def test_model_server_reports_stages(self, chunked, fitted):
         _, test_x = fitted

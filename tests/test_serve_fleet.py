@@ -662,3 +662,31 @@ class TestHelpers:
         assert resolve_worker_count(-1) >= 1
         with pytest.raises(ValueError):
             resolve_worker_count(0)
+
+    @pytest.mark.parametrize(
+        "option",
+        [
+            {"hang_timeout_s": 0},
+            {"hang_timeout_s": -1.0},
+            {"restart_window_s": 0},
+            {"restart_window_s": -1.0},
+            {"restart_backoff_s": -0.1},
+            {"service_floor_s": -0.001},
+        ],
+        ids=lambda o: "{}={}".format(*next(iter(o.items()))),
+    )
+    def test_timing_options_checked_before_publishing(
+        self, artifact, monkeypatch, option
+    ):
+        # A zero hang timeout declares every worker hung and trips the
+        # breaker; a negative restart window disables it.  Both are
+        # rejected before a segment exists.
+        def publish(*args, **kwargs):
+            raise AssertionError("published before validating options")
+
+        monkeypatch.setattr(
+            "repro.serve.fleet.server.SharedArtifact.publish", publish
+        )
+        name = next(iter(option))
+        with pytest.raises(ValueError, match=name):
+            FleetServer(artifact, n_workers=1, **option)
